@@ -10,11 +10,10 @@ instance families whose optima are known by construction.
 
 from .exact import (DEFAULT_VERTEX_CAP, brute_force_mcs, brute_force_mscs,
                     min_dominating_set, min_set_cover, min_vertex_cover)
-from .graph import (Blocks, Certificate, ColoredGraph, DistanceMatrix,
-                    ParseError, PreconditionError, all_pairs_hop_distances,
-                    blocks, format_graph, format_subset, is_consistent,
-                    is_strict_consistent, nearest_neighbors, parse_graph,
-                    parse_subset)
+from .graph import (Blocks, Certificate, ColoredGraph, ParseError,
+                    PreconditionError, blocks, format_graph, format_subset,
+                    is_consistent, is_strict_consistent, nearest_neighbors,
+                    parse_graph, parse_subset)
 from .instances import (SplitMix64, random_connected_graph, random_set_cover,
                         random_tree, random_two_sat)
 from .reductions import (Interval, IntervalInstance, ReductionMetadata,
@@ -34,11 +33,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_COLOR_CAP", "DEFAULT_VERTEX_CAP",
-    "Blocks", "Certificate", "ColoredGraph", "DistanceMatrix", "DPTable",
+    "Blocks", "Certificate", "ColoredGraph", "DPTable",
     "Interval", "IntervalInstance", "ParseError", "PreconditionError",
     "ReductionMetadata", "RootedTree", "SetCoverInstance", "SplitMix64",
     "TwoSatFormula",
-    "all_pairs_hop_distances", "assignment_certificate", "blocks",
+    "assignment_certificate", "blocks",
     "brute_force_mcs", "brute_force_mscs", "cubic_vc_to_intervals",
     "dominating_set_to_mcs", "dp_entry", "ds_mscs_certificate",
     "format_graph", "format_intervals", "format_metadata", "format_set_cover",

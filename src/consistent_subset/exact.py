@@ -17,7 +17,6 @@ tests use as ground truth.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .graph import (Certificate, ColoredGraph, PreconditionError,
                     _consistency_scan, blocks)
@@ -25,10 +24,6 @@ from .graph import (Certificate, ColoredGraph, PreconditionError,
 #: Default vertex cap for subset enumeration; override explicitly when a
 #: caller knowingly accepts exponential blow-up.
 DEFAULT_VERTEX_CAP = 20
-
-DOMINATING_SET = "dominating-set"
-VERTEX_COVER = "vertex-cover"
-SET_COVER = "set-cover"
 
 
 def _minimum_certificate(g: ColoredGraph, variant: str, cap: int) -> Certificate:
@@ -59,7 +54,7 @@ def _minimum_certificate(g: ColoredGraph, variant: str, cap: int) -> Certificate
                 mask |= group_bit[v]
             if mask != full:
                 continue
-            if _consistency_scan(g, set(combo), strict):
+            if _consistency_scan(g, combo, strict):
                 return Certificate(variant, combo, k, "brute-force-optimal")
     raise AssertionError("unreachable: the full vertex set is always consistent")
 
@@ -72,14 +67,6 @@ def brute_force_mcs(g: ColoredGraph, cap: int = DEFAULT_VERTEX_CAP) -> Certifica
 def brute_force_mscs(g: ColoredGraph, cap: int = DEFAULT_VERTEX_CAP) -> Certificate:
     """Smallest strict consistent subset of a connected graph."""
     return _minimum_certificate(g, "mscs", cap)
-
-
-@dataclass(frozen=True)
-class OracleProblem:
-    """A classic minimization instance for :func:`solve_oracle`."""
-
-    kind: str       # DOMINATING_SET | VERTEX_COVER | SET_COVER
-    instance: object
 
 
 def min_dominating_set(g: ColoredGraph, cap: int = DEFAULT_VERTEX_CAP):
@@ -139,13 +126,3 @@ def min_set_cover(sc, cap: int = DEFAULT_VERTEX_CAP):
                 return k, tuple(i + 1 for i in combo)
     raise PreconditionError("the union of the sets does not cover the universe")
 
-
-def solve_oracle(problem: OracleProblem, cap: int = DEFAULT_VERTEX_CAP):
-    """Dispatch to the matching enumeration oracle."""
-    if problem.kind == DOMINATING_SET:
-        return min_dominating_set(problem.instance, cap)
-    if problem.kind == VERTEX_COVER:
-        return min_vertex_cover(problem.instance, cap)
-    if problem.kind == SET_COVER:
-        return min_set_cover(problem.instance, cap)
-    raise ValueError(f"unknown oracle problem kind {problem.kind!r}")

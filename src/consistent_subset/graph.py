@@ -14,6 +14,10 @@ Strict consistency implies consistency, and every strict consistent subset
 meets every *block* (maximal connected monochromatic vertex set), which is
 what :func:`blocks` computes.
 
+Both checkers run one multi-source BFS from ``S`` that carries, per
+vertex, the set of colors among its nearest members: O(n + m) time and
+linear memory per call.  No distances are cached on the graph.
+
 Two line-oriented ASCII file formats are handled here (see the README for
 the full grammar):
 
@@ -37,11 +41,6 @@ from typing import Iterable, Mapping
 
 UNREACHABLE = math.inf
 
-# Graphs up to this many vertices get a cached all-pairs BFS table and
-# per-vertex distance buckets; larger graphs fall back to per-query BFS so
-# memory stays linear in the graph size.
-_APSP_THRESHOLD = 2048
-
 
 class ParseError(ValueError):
     """A malformed instance or subset file; ``line`` is 1-based."""
@@ -60,13 +59,13 @@ class ColoredGraph:
 
     ``color`` is a tuple indexed by vertex id (index 0 is padding), each
     entry in ``1..c``.  Edges are stored as a frozenset of ``(u, w)`` pairs
-    with ``u < w``.  Derived data (adjacency, distances, blocks) is
-    computed lazily and cached; the identity fields never change after
-    construction.
+    with ``u < w``.  Adjacency and connectivity are computed lazily and
+    cached; hop distances are not (:meth:`hops_from` runs a fresh BFS).
+    The identity fields never change after construction.
     """
 
     __slots__ = ("n", "c", "edges", "color",
-                 "_adj", "_rows", "_buckets", "_connected", "_blocks")
+                 "_adj", "_connected")
 
     def __init__(self, n: int, c: int,
                  edges: Iterable[tuple[int, int]], color) -> None:
@@ -98,10 +97,7 @@ class ColoredGraph:
         self.edges = frozenset(normalized)
         self.color = (0, *seq)
         self._adj = None
-        self._rows = None
-        self._buckets = None
         self._connected = None
-        self._blocks = None
 
     @property
     def m(self) -> int:
@@ -152,35 +148,6 @@ class ColoredGraph:
     def is_tree(self) -> bool:
         return self.m == self.n - 1 and self.is_connected
 
-    def _distance_rows(self) -> list:
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = [()] + [self.hops_from(v)
-                                        for v in range(1, self.n + 1)]
-        return rows
-
-    def _nn_buckets(self):
-        """Per vertex: ``((dist, vertices-at-dist), ...)`` ascending by dist.
-
-        Only finite distances appear.  Built once from the all-pairs table,
-        so callers must respect ``_APSP_THRESHOLD``.
-        """
-        buckets = self._buckets
-        if buckets is None:
-            rows = self._distance_rows()
-            out = [()]
-            for v in range(1, self.n + 1):
-                row = rows[v]
-                by_dist: dict[int, list[int]] = {}
-                for u in range(1, self.n + 1):
-                    d = row[u]
-                    if d != UNREACHABLE:
-                        by_dist.setdefault(d, []).append(u)
-                out.append(tuple((d, tuple(by_dist[d]))
-                                 for d in sorted(by_dist)))
-            buckets = self._buckets = tuple(out)
-        return buckets
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, ColoredGraph)
                 and self.n == other.n and self.c == other.c
@@ -193,23 +160,6 @@ class ColoredGraph:
         return f"ColoredGraph(n={self.n}, m={self.m}, c={self.c})"
 
 
-class DistanceMatrix:
-    """All-pairs hop distances; ``rows[u][v]`` is ``UNREACHABLE`` if no path."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = rows
-
-    def d(self, u: int, v: int):
-        return self.rows[u][v]
-
-
-def all_pairs_hop_distances(g: ColoredGraph) -> DistanceMatrix:
-    """One BFS per vertex; quadratic memory, shared with the graph's cache."""
-    return DistanceMatrix(g._distance_rows())
-
-
 def _validated_members(g: ColoredGraph, S) -> frozenset:
     members = frozenset(S)
     if not members:
@@ -220,75 +170,62 @@ def _validated_members(g: ColoredGraph, S) -> frozenset:
     return members
 
 
-def _nearest_hits(g: ColoredGraph, v: int, members) -> tuple:
-    """``(distance, members at minimum hop distance from v)``.
-
-    Returns ``(UNREACHABLE, ())`` when no member is reachable.  Uses the
-    cached distance buckets for small graphs and a frontier-by-frontier BFS
-    beyond the threshold.
-    """
-    if g.n <= _APSP_THRESHOLD:
-        for dist, verts in g._nn_buckets()[v]:
-            hits = tuple(u for u in verts if u in members)
-            if hits:
-                return dist, hits
-        return UNREACHABLE, ()
-    adj = g.adjacency
-    seen = bytearray(g.n + 1)
-    seen[v] = 1
-    frontier = [v]
-    dist = 0
-    while frontier:
-        hits = tuple(u for u in frontier if u in members)
-        if hits:
-            return dist, hits
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    nxt.append(w)
-        frontier = nxt
-        dist += 1
-    return UNREACHABLE, ()
-
-
-def nearest_neighbors(g: ColoredGraph, v: int, S,
-                      dist: DistanceMatrix | None = None) -> frozenset:
+def nearest_neighbors(g: ColoredGraph, v: int, S) -> frozenset:
     """Members of ``S`` at minimum hop distance from ``v``.
 
     ``S`` must be nonempty and at least one member reachable from ``v``.
-    Passing a precomputed ``dist`` matrix skips the BFS.
     """
     members = _validated_members(g, S)
     if not (1 <= v <= g.n):
         raise PreconditionError(f"vertex {v} not in graph")
-    if dist is not None:
-        row = dist.rows[v]
-        best = min(row[u] for u in members)
-        if best == UNREACHABLE:
-            raise PreconditionError(f"no member of S reachable from vertex {v}")
-        return frozenset(u for u in members if row[u] == best)
-    _, hits = _nearest_hits(g, v, members)
-    if not hits:
+    row = g.hops_from(v)
+    best = min(row[u] for u in members)
+    if best == UNREACHABLE:
         raise PreconditionError(f"no member of S reachable from vertex {v}")
-    return frozenset(hits)
+    return frozenset(u for u in members if row[u] == best)
 
 
 def _consistency_scan(g: ColoredGraph, members, strict: bool) -> bool:
-    """Unvalidated core of the checkers; ``members`` must be set-like."""
+    """Unvalidated core of the checkers.
+
+    ``members`` is an iterable of distinct vertex ids.  One multi-source
+    BFS from ``members``, layer by layer.  ``mask[w]`` is
+    the set of colors (one bit each) among ``w``'s nearest members, ties
+    included: a vertex first reached from layer ``d`` inherits the mask of
+    its discoverer, and every other neighbor on layer ``d`` ORs its mask in.
+    Each layer is checked as soon as it is complete.  A vertex that no
+    member reaches fails.
+    """
+    adj = g.adjacency
     color = g.color
-    for v in range(1, g.n + 1):
-        _, hits = _nearest_hits(g, v, members)
-        if not hits:
-            return False
-        cv = color[v]
-        if strict:
-            if any(color[u] != cv for u in hits):
+    mask = [0] * (g.n + 1)
+    depth = [-1] * (g.n + 1)
+    frontier = list(members)
+    for u in frontier:
+        mask[u] = 1 << color[u]
+        depth[u] = 0
+    reached = len(frontier)
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            mu = mask[u]
+            for w in adj[u]:
+                dw = depth[w]
+                if dw < 0:
+                    depth[w] = d
+                    mask[w] = mu
+                    nxt.append(w)
+                elif dw == d:
+                    mask[w] |= mu
+        for w in nxt:
+            bit = 1 << color[w]
+            if (mask[w] != bit) if strict else not (mask[w] & bit):
                 return False
-        elif all(color[u] != cv for u in hits):
-            return False
-    return True
+        reached += len(nxt)
+        frontier = nxt
+    return reached == g.n
 
 
 def is_consistent(g: ColoredGraph, S) -> bool:

@@ -4,10 +4,8 @@ from consistent_subset import (ColoredGraph, PreconditionError,
                                SetCoverInstance, blocks, brute_force_mcs,
                                brute_force_mscs, is_consistent,
                                is_strict_consistent, random_connected_graph)
-from consistent_subset.exact import (DOMINATING_SET, SET_COVER, VERTEX_COVER,
-                                     OracleProblem, min_dominating_set,
-                                     min_set_cover, min_vertex_cover,
-                                     solve_oracle)
+from consistent_subset.exact import (min_dominating_set, min_set_cover,
+                                     min_vertex_cover)
 
 from helpers import (RRBB, complete_graph, path_graph, ref_is_consistent,
                      ref_min_dominating, ref_min_set_cover,
@@ -154,16 +152,6 @@ def test_min_set_cover():
     size, witness = min_set_cover(nested)
     assert size == 2
     assert witness == ref_min_set_cover(4, nested.sets)
-
-
-def test_solve_oracle_dispatch():
-    p3 = path_graph([1, 1, 1])
-    assert solve_oracle(OracleProblem(DOMINATING_SET, p3)) == (1, (2,))
-    assert solve_oracle(OracleProblem(VERTEX_COVER, complete_graph(4)))[0] == 3
-    sc = SetCoverInstance(2, (frozenset({1, 2}),))
-    assert solve_oracle(OracleProblem(SET_COVER, sc)) == (1, (1,))
-    with pytest.raises(ValueError):
-        solve_oracle(OracleProblem("unknown", p3))
 
 
 def test_oracle_caps():

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from consistent_subset import (Blocks, Certificate, ColoredGraph, ParseError,
-                               PreconditionError, all_pairs_hop_distances,
-                               blocks, format_graph, format_subset,
-                               is_consistent, is_strict_consistent,
-                               nearest_neighbors, parse_graph, parse_subset)
+                               PreconditionError, blocks, format_graph,
+                               format_subset, is_consistent,
+                               is_strict_consistent, nearest_neighbors,
+                               parse_graph, parse_subset)
 from consistent_subset.graph import UNREACHABLE
 
-from helpers import RRBB, RRBB_TEXT, path_graph, star_graph
+from helpers import (RRBB, RRBB_TEXT, path_graph, ref_is_consistent,
+                     star_graph)
 
 
 # --------------------------------------------------------------------------
@@ -139,34 +140,33 @@ def test_round_trip_any_graph(g):
 # distances
 
 def test_distance_matrix_on_path():
-    d = all_pairs_hop_distances(RRBB)
-    assert d.d(1, 4) == 3
-    assert d.d(4, 1) == 3
-    assert d.d(2, 2) == 0
-    assert all(d.d(u, w) == d.d(w, u) for u in range(1, 5) for w in range(1, 5))
+    d = [()] + [RRBB.hops_from(u) for u in range(1, 5)]
+    assert d[1][4] == 3
+    assert d[4][1] == 3
+    assert d[2][2] == 0
+    assert all(d[u][w] == d[w][u] for u in range(1, 5) for w in range(1, 5))
 
 
 def test_distance_unreachable():
     disc = ColoredGraph(3, 1, [(1, 2)], {1: 1, 2: 1, 3: 1})
-    d = all_pairs_hop_distances(disc)
-    assert d.d(1, 3) == UNREACHABLE
+    assert disc.hops_from(1)[3] == UNREACHABLE
     assert math.isinf(disc.hops_from(3)[1])
 
 
 @given(connected_graphs())
 def test_distance_axioms(g):
-    d = all_pairs_hop_distances(g)
     verts = range(1, g.n + 1)
+    d = [()] + [g.hops_from(u) for u in verts]
     for u in verts:
-        assert d.d(u, u) == 0
+        assert d[u][u] == 0
         for w in verts:
-            assert d.d(u, w) == d.d(w, u)
+            assert d[u][w] == d[w][u]
             if u != w:
-                assert (d.d(u, w) == 1) == ((min(u, w), max(u, w)) in g.edges)
+                assert (d[u][w] == 1) == ((min(u, w), max(u, w)) in g.edges)
     for u in verts:
         for w in verts:
             for x in verts:
-                assert d.d(u, w) <= d.d(u, x) + d.d(x, w)
+                assert d[u][w] <= d[u][x] + d[x][w]
 
 
 # --------------------------------------------------------------------------
@@ -176,8 +176,6 @@ def test_nearest_neighbors_examples():
     assert nearest_neighbors(RRBB, 2, {1, 3}) == frozenset({1, 3})
     assert nearest_neighbors(RRBB, 4, {1, 3}) == frozenset({3})
     assert nearest_neighbors(RRBB, 1, {1, 3}) == frozenset({1})
-    d = all_pairs_hop_distances(RRBB)
-    assert nearest_neighbors(RRBB, 2, {1, 3}, dist=d) == frozenset({1, 3})
 
 
 def test_nearest_neighbors_validation():
@@ -212,6 +210,28 @@ def test_checker_validation():
         is_consistent(disc, {1})
     with pytest.raises(PreconditionError):
         is_strict_consistent(disc, {1})
+
+
+@given(connected_graphs(), st.data())
+def test_checkers_agree_with_reference(g, data):
+    subset = data.draw(
+        st.sets(st.integers(min_value=1, max_value=g.n), min_size=1))
+    colors = {v: g.color[v] for v in range(1, g.n + 1)}
+    assert is_consistent(g, subset) == ref_is_consistent(
+        g.n, colors, g.edges, subset)
+    assert is_strict_consistent(g, subset) == ref_is_consistent(
+        g.n, colors, g.edges, subset, strict=True)
+
+
+def test_checkers_on_long_path():
+    # 3,001 vertices: 1-1500 red, 1501-3001 blue; vertex 1501 is 1500 hops
+    # from both ends, so it ties between a red and a blue member.
+    g = path_graph([1] * 1500 + [2] * 1501)
+    assert is_consistent(g, {1, 3001})
+    assert not is_strict_consistent(g, {1, 3001})
+    assert is_consistent(g, {1500, 1501})
+    assert is_strict_consistent(g, {1500, 1501})
+    assert not is_consistent(g, {1, 1501})
 
 
 @given(connected_graphs(), st.data())
