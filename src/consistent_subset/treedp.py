@@ -5,21 +5,21 @@ recursion over *child prefixes*: for a vertex ``v`` with children
 ``v_1 < v_2 < ...``, the prefix ``T_i(v)`` is ``{v}`` together with the
 subtrees hanging off the first ``i`` children.
 
-State.  A table key ``(v, i, din, dout, dsib, cin, cout, csib)`` pins down
-how a hypothetical global solution looks from ``v``:
+State.  A table key ``(v, i, din, dext, cin, cext)`` pins down how a
+hypothetical global solution looks from ``v``:
 
-* ``din``/``cin``  -- hop distance from ``v`` to the nearest chosen
+* ``din``/``cin``   -- hop distance from ``v`` to the nearest chosen
   vertices *inside* ``T_i(v)``, and the exact color set found there;
-* ``dsib``/``csib`` -- the same for chosen vertices in the remaining
-  sibling subtrees ``T(v_{i+1}) ... T(v_eta)``;
-* ``dout``/``cout`` -- the same for chosen vertices in the rest of the
-  tree (everything outside ``T(v)``).
+* ``dext``/``cext`` -- the same for chosen vertices *outside* ``T_i(v)``
+  (the later sibling subtrees and everything beyond ``T(v)`` together).
 
 ``INF`` (paired with an empty color mask) means "no chosen vertex in that
 region".  Every path that leaves ``T_i(v)`` passes through ``v``, so a
-vertex ``u`` inside the prefix perceives the sibling region purely as
-"colors ``csib`` at distance ``d(u,v) + dsib``" and likewise for the
-outside region; the six parameters are therefore a complete interface.
+vertex ``u`` inside the prefix perceives the outside purely as "colors
+``cext`` at distance ``d(u,v) + dext``"; the four parameters are therefore
+a complete interface.  Keys are canonical: ``dext > din`` is stored as
+``(INF, 0)``, since such an outside holds no nearest chosen vertex of any
+prefix vertex ``u``, which has an inside one within ``d(u,v) + din``.
 The table value is the minimum number of chosen vertices inside ``T_i(v)``
 realizing ``din``/``cin`` such that every vertex of the prefix sees its
 own color among its nearest chosen vertices; infeasible keys evaluate to
@@ -28,7 +28,7 @@ own color among its nearest chosen vertices; infeasible keys evaluate to
 Recursion.  A key is resolved by case analysis:
 
 1. validity -- ``v`` itself must see its color among the color sets
-   attaining ``min(din, dout, dsib)``, else ``INF``;
+   attaining ``min(din, dext)``, else ``INF``;
 2. ``din == 0`` forces ``cin == {color(v)}`` (the nearest chosen vertex is
    ``v`` alone), else ``INF``;
 3. ``din == 0`` (``v`` chosen): each child subtree is solved independently
@@ -38,10 +38,12 @@ Recursion.  A key is resolved by case analysis:
    parts of ``T_i(v)``: choose the distance ``da`` and colors ``ca`` seen
    inside ``T_{i-1}(v)`` and ``db``/``cb`` inside ``T(v_i)``, subject to
    ``min(da, db) == din`` with the colors at the minimum uniting to
-   ``cin``; add the best left and right table values.  The sibling
-   parameters passed left fold in the ``v_i`` side, and the outside
-   parameters passed right fold in everything the left part and the old
-   context provide, shifted one hop across the edge ``(v, v_i)``.
+   ``cin``; add the best left and right table values.  The left part's
+   outside is the nearer of ``T(v_i)`` and the old outside; the child's is
+   the nearer of the left part and the old outside, one hop farther.  Both
+   subkeys are canonicalized again; an old outside beyond ``din`` changes
+   neither, because for each subkey the side attaining ``din`` is its
+   inside or a nearer part of its outside.
 
 Color sets are int bitmasks (bit ``k`` = color ``k+1``).  All minima are
 taken in a fixed documented order (splits: shared distance first, then
@@ -62,7 +64,7 @@ from .graph import Certificate, ColoredGraph, PreconditionError
 
 INF = float("inf")
 
-#: Keys carry three color masks; beyond this many colors the table would be
+#: Keys carry two color masks; beyond this many colors the table would be
 #: astronomically large, so the solver refuses (Python ints would cope, the
 #: machine would not).
 DEFAULT_COLOR_CAP = 16
@@ -205,10 +207,9 @@ class DPTable:
         return counts
 
 
-def make_dp_key(v: int, i: int, din, dout, dsib,
-                cin: int, cout: int, csib: int) -> tuple:
-    """Validate and build a table key (mainly for direct/table-level use)."""
-    for d, mask, lo in ((din, cin, 0), (dout, cout, 1), (dsib, csib, 1)):
+def make_dp_key(v: int, i: int, din, dext, cin: int, cext: int) -> tuple:
+    """Validate and build a canonical key: ``dext > din`` becomes ``(INF, 0)``."""
+    for d, mask, lo in ((din, cin, 0), (dext, cext, 1)):
         if d == INF:
             if mask != 0:
                 raise ValueError("an INF distance requires an empty color mask")
@@ -219,7 +220,9 @@ def make_dp_key(v: int, i: int, din, dout, dsib,
                 raise ValueError("a finite distance requires a nonempty color mask")
     if i < 0:
         raise ValueError("prefix width must be nonnegative")
-    return (v, i, din, dout, dsib, cin, cout, csib)
+    if dext > din:
+        return (v, i, din, INF, cin, 0)
+    return (v, i, din, dext, cin, cext)
 
 
 def _nonempty_submasks(mask: int):
@@ -234,15 +237,15 @@ def _child_key_candidates(tree: RootedTree, u: int, parent_bit: int):
     """Keys a chosen parent offers its child ``u``, in argmin scan order.
 
     The parent is at distance 1 with its own color; the child subtree picks
-    any internal distance/color profile.
+    any internal distance/color profile; a chosen child hides the parent.
     """
     eta = tree.eta(u)
-    yield (u, eta, 0, 1, INF, tree.color_bit[u], parent_bit, 0)
+    yield (u, eta, 0, INF, tree.color_bit[u], 0)
     for d in range(1, tree.height[u] + 1):
         m = tree.subtree_avail(u, d)
         for cp in _nonempty_submasks(m):
-            yield (u, eta, d, 1, INF, cp, parent_bit, 0)
-    yield (u, eta, INF, 1, INF, 0, parent_bit, 0)
+            yield (u, eta, d, 1, cp, parent_bit)
+    yield (u, eta, INF, 1, 0, parent_bit)
 
 
 def _child_best(tree: RootedTree, u: int, parent_bit: int, table: DPTable):
@@ -271,7 +274,7 @@ def _chosen_sum(tree: RootedTree, v: int, i: int, table: DPTable):
 def _splits(tree: RootedTree, key: tuple):
     """Yield ``(da, ca, db, cb)`` splits of an unchosen-``v`` key, in the
     documented deterministic order."""
-    v, i, din, _dout, _dsib, cin, _cout, _csib = key
+    v, i, din, _dext, cin, _cext = key
     if din == INF:
         yield (INF, 0, INF, 0)
         return
@@ -331,22 +334,20 @@ def _splits(tree: RootedTree, key: tuple):
 
 
 def _split_subkeys(tree: RootedTree, key: tuple, split: tuple):
-    """Left/right table keys induced by one split of ``key``."""
-    v, i, _din, dout, dsib, _cin, cout, csib = key
+    """Left/right canonical table keys induced by one split of ``key``."""
+    v, i, _din, dext, _cin, cext = key
     da, ca, db, cb = split
     child = tree.children[v][i - 1]
-    # the child subtree acts as the left part's nearest sibling region
-    dx = db if db < dsib else dsib
-    csib2 = (cb if db == dx else 0) | (csib if dsib == dx else 0)
-    left = (v, i - 1, da, dout, dx, ca, cout, csib2)
+    # the left part's outside: the child subtree or the old outside
+    dx = db if db < dext else dext
+    cx = (cb if db == dx else 0) | (cext if dext == dx else 0)
+    left = (v, i - 1, da, dx, ca, cx) if dx <= da else (v, i - 1, da, INF, ca, 0)
     # everything except T(child) lies one hop beyond v from the child's view
-    dext = min(da, dsib, dout)
-    cext = ((ca if da == dext else 0) | (csib if dsib == dext else 0)
-            | (cout if dout == dext else 0))
-    right = (child, tree.eta(child),
-             db - 1 if db != INF else INF,
-             dext + 1 if dext != INF else INF,
-             INF, cb, cext, 0)
+    dy = da if da < dext else dext
+    cy = (ca if da == dy else 0) | (cext if dext == dy else 0)
+    eta = tree.eta(child)
+    right = ((child, eta, db - 1, dy + 1, cb, cy) if dy <= db - 2
+             else (child, eta, db - 1, INF, cb, 0))
     return left, right
 
 
@@ -364,11 +365,9 @@ def dp_entry(tree: RootedTree, key: tuple, table: DPTable):
 
 
 def _compute(tree: RootedTree, key: tuple, table: DPTable):
-    v, i, din, dout, dsib, cin, cout, csib = key
+    v, i, din, dext, cin, cext = key
     vbit = tree.color_bit[v]
-    dmin = min(din, dout, dsib)
-    cmin = ((cin if din == dmin else 0) | (cout if dout == dmin else 0)
-            | (csib if dsib == dmin else 0))
+    cmin = (cin if din <= dext else 0) | (cext if dext <= din else 0)
     if not cmin & vbit:
         return INF
     if din == 0:
@@ -377,10 +376,9 @@ def _compute(tree: RootedTree, key: tuple, table: DPTable):
         if i == 0:
             return 1
         return 1 + _chosen_sum(tree, v, i, table)
-    if din != INF:
-        # din must be realizable by colors cin at that exact depth
-        if (tree.avail(v, i, din) & cin) != cin:
-            return INF
+    # din must be realizable by colors cin at that exact depth (trivial for INF)
+    if (tree.avail(v, i, din) & cin) != cin:
+        return INF
     if i == 0:
         return 0 if din == INF else INF
     best = INF
@@ -398,7 +396,7 @@ def _compute(tree: RootedTree, key: tuple, table: DPTable):
 
 def _collect(tree: RootedTree, key: tuple, table: DPTable, acc: set) -> None:
     """Re-walk the first argmin of a finite key, adding chosen vertices."""
-    v, i, din, _dout, _dsib, _cin, _cout, _csib = key
+    v, i, din, _dext, _cin, _cext = key
     target = table.memo[key]
     if din == 0:
         acc.add(v)
@@ -451,15 +449,12 @@ def _root_keys(tree: RootedTree):
     eta = tree.eta(r)
     rbit = tree.color_bit[r]
     for d in range(0, tree.depth_limit(r, eta) + 1):
-        if d == 0:
-            yield (r, eta, 0, INF, INF, rbit, 0, 0)
-            continue
         m = tree.avail(r, eta, d)
         if not m & rbit:
             continue
         for cp in _nonempty_submasks(m):
             if cp & rbit:
-                yield (r, eta, d, INF, INF, cp, 0, 0)
+                yield (r, eta, d, INF, cp, 0)
 
 
 def _solve(g: ColoredGraph, color_cap: int):
@@ -468,21 +463,23 @@ def _solve(g: ColoredGraph, color_cap: int):
     if g.c > color_cap:
         raise PreconditionError(
             f"{g.c} colors exceeds the solver's color cap {color_cap}")
-    limit = 4 * g.n + 2000
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
-    tree = root_tree(g, 1)
-    table = DPTable()
-    best = INF
-    best_key = None
-    for key in _root_keys(tree):
-        val = dp_entry(tree, key, table)
-        if val < best:
-            best = val
-            best_key = key
-    if best == INF or best_key is None:
-        raise AssertionError("unreachable: a tree always has a consistent subset")
-    witness = reconstruct_witness(tree, best_key, table)
+    caller_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(caller_limit, 4 * g.n + 2000))
+    try:
+        tree = root_tree(g, 1)
+        table = DPTable()
+        best = INF
+        best_key = None
+        for key in _root_keys(tree):
+            val = dp_entry(tree, key, table)
+            if val < best:
+                best = val
+                best_key = key
+        if best == INF or best_key is None:
+            raise AssertionError("unreachable: a tree always has a consistent subset")
+        witness = reconstruct_witness(tree, best_key, table)
+    finally:
+        sys.setrecursionlimit(caller_limit)
     cert = Certificate("mcs", tuple(sorted(witness)), int(best), "tree-dp-optimal")
     return cert, tree, table
 

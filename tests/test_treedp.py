@@ -1,4 +1,7 @@
+import sys
+
 import pytest
+from hypothesis import given, strategies as st
 
 from consistent_subset import (ColoredGraph, PreconditionError,
                                brute_force_mcs, is_consistent, random_tree,
@@ -7,7 +10,8 @@ from consistent_subset.treedp import (INF, DPTable, dp_entry, make_dp_key,
                                       reconstruct_witness, root_tree,
                                       _root_keys)
 
-from helpers import RRBB, path_graph, star_graph
+from helpers import (RRBB, path_graph, ref_is_consistent, ref_minimum_subset,
+                     star_graph)
 
 RED, BLUE = 1, 2
 RBIT, BBIT = 1, 2
@@ -67,17 +71,29 @@ def test_exact_depth_color_masks():
 # key validation and single entries
 
 def test_make_dp_key_validation():
-    make_dp_key(2, 0, 0, 1, INF, RBIT, RBIT, 0)
+    make_dp_key(2, 0, 0, 1, RBIT, RBIT)
     with pytest.raises(ValueError):
-        make_dp_key(2, 0, INF, 1, INF, RBIT, RBIT, 0)   # INF with colors
+        make_dp_key(2, 0, INF, 1, RBIT, RBIT)   # INF with colors
     with pytest.raises(ValueError):
-        make_dp_key(2, 0, 1, 1, INF, 0, RBIT, 0)        # finite, no colors
+        make_dp_key(2, 0, 1, 1, 0, RBIT)        # finite, no colors
     with pytest.raises(ValueError):
-        make_dp_key(2, 0, 0, 0, INF, RBIT, RBIT, 0)     # dout below 1
+        make_dp_key(2, 0, 0, 0, RBIT, RBIT)     # dext below 1
     with pytest.raises(ValueError):
-        make_dp_key(2, 0, -1, 1, INF, RBIT, RBIT, 0)
+        make_dp_key(2, 0, 1, INF, RBIT, RBIT)   # INF outside with colors
     with pytest.raises(ValueError):
-        make_dp_key(2, -1, 0, 1, INF, RBIT, RBIT, 0)
+        make_dp_key(2, 0, -1, 1, RBIT, RBIT)
+    with pytest.raises(ValueError):
+        make_dp_key(2, -1, 0, 1, RBIT, RBIT)
+
+
+def test_make_dp_key_drops_an_outside_beyond_the_inside():
+    # no prefix vertex can have a nearest chosen vertex outside when the
+    # outside is farther from v than the inside, so only (INF, 0) is kept
+    assert make_dp_key(2, 1, 1, 2, RBIT, BBIT) == (2, 1, 1, INF, RBIT, 0)
+    assert make_dp_key(2, 0, 0, 1, RBIT, BBIT) == (2, 0, 0, INF, RBIT, 0)
+    assert make_dp_key(2, 1, 2, 2, RBIT, BBIT) == (2, 1, 2, 2, RBIT, BBIT)
+    assert make_dp_key(2, 1, 3, 1, RBIT, BBIT) == (2, 1, 3, 1, RBIT, BBIT)
+    assert make_dp_key(2, 0, INF, 4, 0, BBIT) == (2, 0, INF, 4, 0, BBIT)
 
 
 def test_leaf_entries():
@@ -85,14 +101,14 @@ def test_leaf_entries():
     g = path_graph([BLUE, RED])
     t = root_tree(g, 1)
     table = DPTable()
-    chosen = make_dp_key(2, 0, 0, 1, INF, RBIT, RBIT, 0)
+    chosen = make_dp_key(2, 0, 0, 1, RBIT, RBIT)
     assert dp_entry(t, chosen, table) == 1
-    covered = make_dp_key(2, 0, INF, 1, INF, 0, RBIT, 0)
+    covered = make_dp_key(2, 0, INF, 1, 0, RBIT)
     assert dp_entry(t, covered, table) == 0
-    mismatched = make_dp_key(2, 0, INF, 1, INF, 0, BBIT, 0)
+    mismatched = make_dp_key(2, 0, INF, 1, 0, BBIT)
     assert dp_entry(t, mismatched, table) == INF
     # choosing the leaf under a contradictory color claim is infeasible
-    wrong_self = make_dp_key(2, 0, 0, 1, INF, BBIT, BBIT, 0)
+    wrong_self = make_dp_key(2, 0, 0, 1, BBIT, BBIT)
     assert dp_entry(t, wrong_self, table) == INF
 
 
@@ -100,7 +116,7 @@ def test_entries_memoized():
     g = path_graph([RED, RED, BLUE, BLUE])
     t = root_tree(g, 1)
     table = DPTable()
-    key = make_dp_key(1, 1, 2, INF, INF, BBIT, 0, 0)
+    key = make_dp_key(1, 1, 2, INF, BBIT, 0)
     first = dp_entry(t, key, table)
     assert table.memo[key] == first
     assert dp_entry(t, key, table) == first
@@ -142,6 +158,66 @@ def test_matches_brute_force_on_random_trees():
         assert len(fast.witness) == fast.size
 
 
+@st.composite
+def deep_trees(draw, max_n=14):
+    """Paths, caterpillars and spiders with colors in runs along the spine
+    or legs.  Vertex 1 (the solver's root) is a spine end or the spider's
+    centre, so the DP's distance ranges span the whole height."""
+    c = draw(st.integers(min_value=1, max_value=3))
+
+    def runs(length):
+        out = []
+        while len(out) < length:
+            out += [draw(st.integers(1, c))] * draw(st.integers(1, 5))
+        return out[:length]
+
+    kind = draw(st.sampled_from(("path", "caterpillar", "spider")))
+    if kind == "spider":
+        colors, edges = [draw(st.integers(1, c))], []
+        for _ in range(draw(st.integers(1, 4))):
+            if len(colors) == max_n:
+                break
+            first = len(colors) + 1
+            colors += runs(draw(st.integers(1, max_n - len(colors))))
+            edges += [(1, first)] + [(v, v + 1) for v in range(first, len(colors))]
+    else:
+        spine = draw(st.integers(1, max_n if kind == "path" else max_n // 2))
+        colors = runs(spine)
+        edges = [(v, v + 1) for v in range(1, spine)]
+        if kind == "caterpillar":
+            for v in range(1, spine + 1):
+                for _ in range(draw(st.integers(0, 2))):
+                    if len(colors) < max_n:
+                        colors.append(draw(st.integers(1, c)))
+                        edges.append((v, len(colors)))
+    return ColoredGraph(len(colors), c, edges, colors)
+
+
+@given(deep_trees())
+def test_matches_reference_on_deep_trees(g):
+    colors = {v: g.color[v] for v in range(1, g.n + 1)}
+    cert = solve_tree_mcs(g)
+    assert cert.size == len(ref_minimum_subset(g.n, colors, g.edges))
+    assert len(cert.witness) == cert.size
+    assert ref_is_consistent(g.n, colors, g.edges, cert.witness)
+
+
+def test_solve_restores_recursion_limit():
+    # rooted at an end, a 1,000-vertex path recurses far deeper than a
+    # 1,000-frame limit allows, so the solve must raise the limit and then
+    # hand the caller's limit back
+    g = path_graph([RED, BLUE] * 500)
+    caller = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        cert = solve_tree_mcs(g)
+        after = sys.getrecursionlimit()
+    finally:
+        sys.setrecursionlimit(caller)
+    assert cert.size == 1000
+    assert after == 1000
+
+
 def test_solve_deterministic():
     g = random_tree(14, 3, 99)
     assert solve_tree_mcs(g) == solve_tree_mcs(g)
@@ -173,14 +249,10 @@ def _induced_key(tree, g, members, v, i):
                 mask |= tree.color_bit[u]
         return best, mask
 
-    din, cin = profile(tree.prefix_vertices(v, i))
-    sib = set()
-    for child in tree.children[v][i:]:
-        sib |= tree.subtree_vertices(child)
-    dsib, csib = profile(sib)
-    outside = set(range(1, g.n + 1)) - tree.subtree_vertices(v)
-    dout, cout = profile(outside)
-    return make_dp_key(v, i, din, dout, dsib, cin, cout, csib)
+    prefix = tree.prefix_vertices(v, i)
+    din, cin = profile(prefix)
+    dext, cext = profile(set(range(1, g.n + 1)) - prefix)
+    return make_dp_key(v, i, din, dext, cin, cext)
 
 
 def test_splice_property():
@@ -222,16 +294,16 @@ def test_memo_envelope():
         eta_sum = sum(tree.eta(v) for v in range(1, n + 1))
         assert table.size <= max(1, eta_sum) * (n + 1) ** 3 * 2 ** (3 * c)
         for count in table.sizes_by_prefix().values():
-            assert count <= n ** 3 * 2 ** (3 * c)
+            assert count <= (n + 1) ** 2 * 2 ** (2 * c)
 
 
 def test_reconstruct_guards():
     g = path_graph([RED, RED])
     cert, tree, table = solve_tree_mcs_detailed(g)
     with pytest.raises(ValueError):
-        reconstruct_witness(tree, make_dp_key(1, 0, 0, INF, INF, RBIT, 0, 0),
+        reconstruct_witness(tree, make_dp_key(1, 0, 0, INF, RBIT, 0),
                             DPTable())
-    infeasible = make_dp_key(2, 0, INF, 1, INF, 0, BBIT, 0)
+    infeasible = make_dp_key(2, 0, INF, 1, 0, BBIT)
     table2 = DPTable()
     assert dp_entry(tree, infeasible, table2) == INF
     with pytest.raises(ValueError):
