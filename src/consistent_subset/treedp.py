@@ -27,8 +27,9 @@ own color among its nearest chosen vertices; infeasible keys evaluate to
 
 Recursion.  A key is resolved by case analysis:
 
-1. validity -- ``v`` itself must see its color among the color sets
-   attaining ``min(din, dext)``, else ``INF``;
+1. color tests -- ``v`` itself must see its color among the color sets
+   attaining ``min(din, dext)``, and the prefix must pass the near-outside
+   bound below, else ``INF``;
 2. ``din == 0`` forces ``cin == {color(v)}`` (the nearest chosen vertex is
    ``v`` alone), else ``INF``;
 3. ``din == 0`` (``v`` chosen): each child subtree is solved independently
@@ -50,9 +51,29 @@ taken in a fixed documented order (splits: shared distance first, then
 longer left distances ascending, then longer right distances ascending;
 masks in decreasing numeric order), and witness reconstruction re-walks
 that order taking the first argmin, so reported witnesses are
-deterministic.  Distance ranges are pruned by subtree heights and color
-feasibility masks (colors available at an exact depth); pruned keys are
-exactly the infeasible ones, so values never change.
+deterministic.
+
+Pruning.  Distance ranges are cut by subtree heights and by the colors
+available at each exact depth.  Three color arguments then drop work
+whose value is known without building it.  None changes a key's value or
+the first argmin of any scan, so sizes and witnesses are the same as
+with no pruning at all:
+
+* Near-outside bound.  With ``dext < din``, a prefix vertex at depth
+  ``k < (din - dext + 1) // 2`` from ``v`` has the outside at
+  ``k + dext``, strictly nearer than any inside vertex (at least
+  ``din - k`` away), so it sees ``cext`` alone; the key is ``INF`` unless
+  every color at those depths (all of the prefix when ``din`` is ``INF``)
+  lies in ``cext``.  The solver never generates, looks up or stores a
+  key failing it or ``v``'s own test: such a key is worth ``INF``, and an
+  ``INF`` key or split is never the first argmin of a finite minimum.
+* Zero-cost child.  Under a chosen parent, a child subtree wholly of the
+  parent's color is worth 0, reached only by choosing nothing in it
+  (every other candidate chooses a vertex), so its value is 0 without a
+  scan and reconstruction adds nothing for it.
+* Color-count floor.  A consistent subset holds a vertex of every color
+  present, so the root scan stops at the first key worth that many; it
+  keeps the first strict minimum, which no later key could beat.
 """
 
 from __future__ import annotations
@@ -74,12 +95,13 @@ class RootedTree:
     """A colored tree rooted for prefix dynamic programming.
 
     Children are ordered by ascending vertex id.  Precomputes, per vertex,
-    subtree heights and the color masks available at each exact depth of
-    every child prefix; the solver uses those to prune infeasible keys.
+    subtree heights, the color masks available at each exact depth of
+    every child prefix, and their running unions by depth; the solver uses
+    those to prune infeasible keys.
     """
 
     __slots__ = ("graph", "root", "parent", "children", "height",
-                 "color_bit", "_pref", "_subtree")
+                 "color_bit", "_pref", "_subtree", "_near")
 
     def __init__(self, g: ColoredGraph, root: int):
         if not g.is_tree:
@@ -110,38 +132,51 @@ class RootedTree:
         self.color_bit = tuple(0 if v == 0 else 1 << (g.color[v] - 1)
                                for v in range(n + 1))
         height = [0] * (n + 1)
-        # colors at each exact depth of the full subtree T(v)
+        # colors at each exact depth of the full subtree T(v), and all its colors
         sub: list = [None] * (n + 1)
+        sub_colors = [0] * (n + 1)
         for u in reversed(order):
             kids = children[u]
-            h = 0
-            for w in kids:
-                if height[w] + 1 > h:
-                    h = height[w] + 1
-            height[u] = h
-            arr = [0] * (h + 1)
-            arr[0] = self.color_bit[u]
-            for w in kids:
-                warr = sub[w]
-                for d, mask in enumerate(warr):
-                    arr[d + 1] |= mask
+            colors = self.color_bit[u]
+            arr = [colors]
+            if kids:
+                tallest = max(kids, key=height.__getitem__)
+                arr += sub[tallest]
+                for w in kids:
+                    if w != tallest:
+                        for d, mask in enumerate(sub[w]):
+                            arr[d + 1] |= mask
+                    colors |= sub_colors[w]
+            height[u] = len(arr) - 1
             sub[u] = arr
+            sub_colors[u] = colors
         self.height = tuple(height)
         self._subtree = sub
-        # colors at each exact depth of every child prefix T_i(v)
+        # colors at each exact depth of every child prefix T_i(v) (the last
+        # prefix is T(v) itself), and their running unions by depth
         pref: list = [None] * (n + 1)
+        near: list = [None] * (n + 1)
         for u in order:
-            arrs = [[self.color_bit[u]]]
-            cur = arrs[0]
-            for w in children[u]:
-                warr = sub[w]
-                nxt = cur + [0] * max(0, len(warr) + 1 - len(cur))
-                for d, mask in enumerate(warr):
-                    nxt[d + 1] |= mask
-                arrs.append(nxt)
-                cur = nxt
+            kids = children[u]
+            cur = [self.color_bit[u]]
+            colors = cur[0]
+            arrs = [cur]
+            rows = [_running_union(cur, colors)]
+            for j, w in enumerate(kids):
+                if j == len(kids) - 1:
+                    cur = sub[u]
+                else:
+                    warr = sub[w]
+                    cur = cur + [0] * max(0, len(warr) + 1 - len(cur))
+                    for d, mask in enumerate(warr):
+                        cur[d + 1] |= mask
+                colors |= sub_colors[w]
+                arrs.append(cur)
+                rows.append(_running_union(cur, colors))
             pref[u] = arrs
+            near[u] = rows
         self._pref = pref
+        self._near = near
 
     def eta(self, v: int) -> int:
         return len(self.children[v])
@@ -156,6 +191,12 @@ class RootedTree:
         if d == INF or d >= len(arr):
             return 0
         return arr[d]
+
+    def near(self, v: int, i: int, r) -> int:
+        """Colors at distance below ``r`` from ``v`` within ``T_i(v)``
+        (every color of the prefix when ``r`` is ``INF``)."""
+        row = self._near[v][i]
+        return row[r] if r < len(row) else row[-1]
 
     def subtree_avail(self, v: int, d) -> int:
         """Colors at exact distance ``d`` from ``v`` within all of ``T(v)``."""
@@ -175,6 +216,19 @@ class RootedTree:
         for w in self.children[v][:i]:
             out.extend(self.subtree_vertices(w))
         return frozenset(out)
+
+
+def _running_union(masks: list, full: int) -> list:
+    """``out[r]`` = union of ``masks[:r]``, cut once it reaches ``full``,
+    the union of all of ``masks``."""
+    out = [0]
+    acc = 0
+    for mask in masks:
+        if acc == full:
+            break
+        acc |= mask
+        out.append(acc)
+    return out
 
 
 def root_tree(g: ColoredGraph, root: int = 1) -> RootedTree:
@@ -233,29 +287,60 @@ def _nonempty_submasks(mask: int):
         s = (s - 1) & mask
 
 
+def _admissible(tree: RootedTree, v: int, i: int, din, dext, cin: int,
+                cext: int) -> bool:
+    """Color tests that every feasible canonical key passes.
+
+    Near-outside bound: with the outside nearer (``dext < din``), a prefix
+    vertex at depth ``k`` with ``2k < din - dext`` sees the outside at
+    ``k + dext`` and the inside no nearer than ``din - k``, so it sees the
+    colors ``cext`` alone; every color at those depths must lie in
+    ``cext`` (depth 0 is ``v`` itself).  Otherwise ``v`` must find its
+    color among the sets at ``din`` (and at ``dext`` on a tie).
+    """
+    if dext < din:
+        r = INF if din == INF else (din - dext + 1) // 2
+        return not tree.near(v, i, r) & ~cext
+    return bool((cin | (cext if dext == din else 0)) & tree.color_bit[v])
+
+
 def _child_key_candidates(tree: RootedTree, u: int, parent_bit: int):
     """Keys a chosen parent offers its child ``u``, in argmin scan order.
 
     The parent is at distance 1 with its own color; the child subtree picks
     any internal distance/color profile; a chosen child hides the parent.
+    Keys failing :func:`_admissible` are left out.  From ``d = 2`` on that
+    is the near-outside bound at ``r = d // 2``, which only tightens as
+    ``d`` grows, so the first failure ends the scan (the ``INF`` key too).
     """
     eta = tree.eta(u)
-    yield (u, eta, 0, INF, tree.color_bit[u], 0)
-    for d in range(1, tree.height[u] + 1):
-        m = tree.subtree_avail(u, d)
-        for cp in _nonempty_submasks(m):
+    ubit = tree.color_bit[u]
+    yield (u, eta, 0, INF, ubit, 0)
+    for cp in _nonempty_submasks(tree.subtree_avail(u, 1)):
+        if (cp | parent_bit) & ubit:
+            yield (u, eta, 1, 1, cp, parent_bit)
+    for d in range(2, tree.height[u] + 1):
+        if tree.near(u, eta, d // 2) & ~parent_bit:
+            return
+        for cp in _nonempty_submasks(tree.subtree_avail(u, d)):
             yield (u, eta, d, 1, cp, parent_bit)
-    yield (u, eta, INF, 1, 0, parent_bit)
+    if not tree.near(u, eta, INF) & ~parent_bit:
+        yield (u, eta, INF, 1, 0, parent_bit)
 
 
 def _child_best(tree: RootedTree, u: int, parent_bit: int, table: DPTable):
     cached = table._child_best.get((u, parent_bit))
     if cached is None:
-        cached = INF
-        for key in _child_key_candidates(tree, u, parent_bit):
-            val = dp_entry(tree, key, table)
-            if val < cached:
-                cached = val
+        if tree.near(u, tree.eta(u), INF) == parent_bit:
+            # all of T(u) has the parent's color: choosing nothing there
+            # costs 0, and every other candidate chooses a vertex
+            cached = 0
+        else:
+            cached = INF
+            for key in _child_key_candidates(tree, u, parent_bit):
+                val = dp_entry(tree, key, table)
+                if val < cached:
+                    cached = val
         table._child_best[(u, parent_bit)] = cached
     return cached
 
@@ -271,22 +356,37 @@ def _chosen_sum(tree: RootedTree, v: int, i: int, table: DPTable):
     return cached
 
 
-def _splits(tree: RootedTree, key: tuple):
-    """Yield ``(da, ca, db, cb)`` splits of an unchosen-``v`` key, in the
-    documented deterministic order."""
-    v, i, din, _dext, cin, _cext = key
-    if din == INF:
-        yield (INF, 0, INF, 0)
-        return
+def _subkey_pairs(tree: RootedTree, key: tuple):
+    """Yield the ``(left, right)`` canonical subkeys of an unchosen-``v`` key,
+    one pair per split in the documented order, leaving out the pairs with
+    a subkey that fails :func:`_admissible` (worth ``INF``, never an argmin).
+
+    A split ``(da, ca, db, cb)`` gives the nearest distance and colors seen
+    inside ``T_{i-1}(v)`` (left) and inside ``T(v_i)`` (right).  The left
+    part's outside is the nearer of ``T(v_i)`` and the old outside; the
+    child's is the nearer of the left part and the old outside, one hop
+    farther.  Where one side stays fixed and the other's inside distance
+    grows, that side's near-outside bound only tightens, so the first
+    failure ends the scan.
+
+    ``key`` must pass :func:`_admissible`: where a subkey keeps the key's
+    nearest distance and outside, its tests follow from the key's and are
+    not repeated.
+    """
+    v, i, din, dext, cin, cext = key
     child = tree.children[v][i - 1]
-    avail_left = tree.avail(v, i - 1, din)
-    avail_right = tree.subtree_avail(child, din - 1) if din >= 1 else 0
+    eta = len(tree.children[child])
+    if din == INF:
+        # nothing is chosen inside: both subkeys' bounds follow from the key's
+        yield (v, i - 1, INF, dext, 0, cext), (child, eta, INF, dext + 1, 0, cext)
+        return
+    dmin = dext if dext < din else din        # nearest chosen of all, from v
+    la = tree.avail(v, i - 1, din) & cin
+    ra = tree.subtree_avail(child, din - 1) & cin
     # both sides attain din; distribute each color of cin left/right/both
-    la = avail_left & cin
-    ra = avail_right & cin
     if la | ra == cin:
+        tied = cext if dext == din else 0
         options = []
-        feasible = True
         bit = 1
         rest = cin
         while rest:
@@ -309,7 +409,17 @@ def _splits(tree: RootedTree, key: tuple):
                 ca |= a
                 cb |= b
             if ca and cb:
-                yield (din, ca, din, cb)
+                # the left key's tests follow from the key's
+                if dmin < din:
+                    left = (v, i - 1, din, dmin, ca, cext)
+                    cy = cext
+                else:
+                    left = (v, i - 1, din, din, ca, cb | tied)
+                    cy = ca | tied
+                right = ((child, eta, din - 1, dmin + 1, cb, cy) if dmin <= din - 2
+                         else (child, eta, din - 1, INF, cb, 0))
+                if _admissible(tree, *right):
+                    yield left, right
             slot = len(picks) - 1
             while slot >= 0:
                 if picks[slot] + 1 < len(options[slot]):
@@ -319,36 +429,43 @@ def _splits(tree: RootedTree, key: tuple):
                 slot -= 1
             else:
                 break
-    # only the child side attains din; the left part is farther (or empty)
+    # only the child side attains din; the left part is farther (or empty),
+    # so the child's key is fixed and the left sees the outside at `dmin`
     if ra == cin:
-        for da in range(din + 1, tree.depth_limit(v, i - 1) + 1):
-            for ca in _nonempty_submasks(tree.avail(v, i - 1, da)):
-                yield (da, ca, din, cin)
-        yield (INF, 0, din, cin)
-    # only the left part attains din; the child side is farther (or empty)
+        cx = (cin if dmin == din else 0) | (cext if dext == dmin else 0)
+        right = ((child, eta, din - 1, dext + 1, cin, cext) if dext <= din - 2
+                 else (child, eta, din - 1, INF, cin, 0))
+        if _admissible(tree, *right):
+            for da in range(din + 1, tree.depth_limit(v, i - 1) + 1):
+                if tree.near(v, i - 1, (da - dmin + 1) // 2) & ~cx:
+                    break
+                for ca in _nonempty_submasks(tree.avail(v, i - 1, da)):
+                    yield (v, i - 1, da, dmin, ca, cx), right
+            else:
+                if not tree.near(v, i - 1, INF) & ~cx:
+                    yield (v, i - 1, INF, dmin, 0, cx), right
+    # only the left part attains din; the child side is farther (or empty),
+    # so the left key is fixed (its tests follow from the key's) and the
+    # child sees the outside at `dmin + 1`
     if la == cin:
+        left = (v, i - 1, din, dext, cin, cext)
+        cy = (cin if dmin == din else 0) | (cext if dext == dmin else 0)
         for db in range(din + 1, tree.height[child] + 2):
-            for cb in _nonempty_submasks(tree.subtree_avail(child, db - 1)):
-                yield (din, cin, db, cb)
-        yield (din, cin, INF, 0)
-
-
-def _split_subkeys(tree: RootedTree, key: tuple, split: tuple):
-    """Left/right canonical table keys induced by one split of ``key``."""
-    v, i, _din, dext, _cin, cext = key
-    da, ca, db, cb = split
-    child = tree.children[v][i - 1]
-    # the left part's outside: the child subtree or the old outside
-    dx = db if db < dext else dext
-    cx = (cb if db == dx else 0) | (cext if dext == dx else 0)
-    left = (v, i - 1, da, dx, ca, cx) if dx <= da else (v, i - 1, da, INF, ca, 0)
-    # everything except T(child) lies one hop beyond v from the child's view
-    dy = da if da < dext else dext
-    cy = (ca if da == dy else 0) | (cext if dext == dy else 0)
-    eta = tree.eta(child)
-    right = ((child, eta, db - 1, dy + 1, cb, cy) if dy <= db - 2
-             else (child, eta, db - 1, INF, cb, 0))
-    return left, right
+            masks = _nonempty_submasks(tree.subtree_avail(child, db - 1))
+            if dmin + 2 < db:
+                if tree.near(child, eta, (db - dmin - 1) // 2) & ~cy:
+                    break
+                for cb in masks:
+                    yield left, (child, eta, db - 1, dmin + 1, cb, cy)
+            else:
+                for cb in masks:
+                    right = ((child, eta, db - 1, dmin + 1, cb, cy) if dmin + 2 == db
+                             else (child, eta, db - 1, INF, cb, 0))
+                    if _admissible(tree, *right):
+                        yield left, right
+        else:
+            if not tree.near(child, eta, INF) & ~cy:
+                yield left, (child, eta, INF, dmin + 1, 0, cy)
 
 
 def dp_entry(tree: RootedTree, key: tuple, table: DPTable):
@@ -366,12 +483,10 @@ def dp_entry(tree: RootedTree, key: tuple, table: DPTable):
 
 def _compute(tree: RootedTree, key: tuple, table: DPTable):
     v, i, din, dext, cin, cext = key
-    vbit = tree.color_bit[v]
-    cmin = (cin if din <= dext else 0) | (cext if dext <= din else 0)
-    if not cmin & vbit:
+    if not _admissible(tree, v, i, din, dext, cin, cext):
         return INF
     if din == 0:
-        if cin != vbit:
+        if cin != tree.color_bit[v]:
             return INF
         if i == 0:
             return 1
@@ -381,13 +496,17 @@ def _compute(tree: RootedTree, key: tuple, table: DPTable):
         return INF
     if i == 0:
         return 0 if din == INF else INF
+    memo = table.memo
     best = INF
-    for split in _splits(tree, key):
-        left_key, right_key = _split_subkeys(tree, key, split)
-        left = dp_entry(tree, left_key, table)
+    for left_key, right_key in _subkey_pairs(tree, key):
+        left = memo.get(left_key)
+        if left is None:
+            left = memo[left_key] = _compute(tree, left_key, table)
         if left >= best:
             continue
-        right = dp_entry(tree, right_key, table)
+        right = memo.get(right_key)
+        if right is None:
+            right = memo[right_key] = _compute(tree, right_key, table)
         total = left + right
         if total < best:
             best = total
@@ -403,6 +522,8 @@ def _collect(tree: RootedTree, key: tuple, table: DPTable, acc: set) -> None:
         for j in range(1, i + 1):
             child = tree.children[v][j - 1]
             want = _child_best(tree, child, tree.color_bit[v], table)
+            if want == 0:
+                continue  # nothing chosen in T(child)
             for ck in _child_key_candidates(tree, child, tree.color_bit[v]):
                 if dp_entry(tree, ck, table) == want:
                     _collect(tree, ck, table, acc)
@@ -412,8 +533,7 @@ def _collect(tree: RootedTree, key: tuple, table: DPTable, acc: set) -> None:
         return
     if i == 0:
         return  # din == INF: nothing chosen here
-    for split in _splits(tree, key):
-        left_key, right_key = _split_subkeys(tree, key, split)
+    for left_key, right_key in _subkey_pairs(tree, key):
         left = dp_entry(tree, left_key, table)
         if left == INF:
             continue
@@ -468,6 +588,9 @@ def _solve(g: ColoredGraph, color_cap: int):
     try:
         tree = root_tree(g, 1)
         table = DPTable()
+        # every color present must be chosen somewhere, so a root key worth
+        # that many cannot be beaten by a later one
+        floor = tree.near(tree.root, tree.eta(tree.root), INF).bit_count()
         best = INF
         best_key = None
         for key in _root_keys(tree):
@@ -475,6 +598,8 @@ def _solve(g: ColoredGraph, color_cap: int):
             if val < best:
                 best = val
                 best_key = key
+                if best == floor:
+                    break
         if best == INF or best_key is None:
             raise AssertionError("unreachable: a tree always has a consistent subset")
         witness = reconstruct_witness(tree, best_key, table)

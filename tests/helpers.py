@@ -10,7 +10,7 @@ small (n <= 10 or so).
 import itertools
 from collections import deque
 
-from consistent_subset import ColoredGraph
+from consistent_subset import ColoredGraph, SplitMix64
 
 
 # --------------------------------------------------------------------------
@@ -125,6 +125,47 @@ def star_graph(center_color, leaf_colors):
 def complete_graph(n, color=1):
     return ColoredGraph(n, color, list(itertools.combinations(range(1, n + 1), 2)),
                         {v: color for v in range(1, n + 1)})
+
+
+# seeded deep trees: colors come in runs of ``lo``..``hi`` along a spine or
+# leg (each run a new color when c > 1), and vertex 1 (the tree solver's
+# root) is a spine end or the centre
+
+def _color_runs(rng, length, c, lo, hi):
+    out = []
+    while len(out) < length:
+        color = (1 + (out[-1] + rng.below(c - 1)) % c if out and c > 1
+                 else 1 + rng.below(c))
+        out += [color] * (lo + rng.below(hi - lo + 1))
+    return out[:length]
+
+
+def runs_path(n, c, lo, hi, seed):
+    return path_graph(_color_runs(SplitMix64(seed), n, c, lo, hi))
+
+
+def caterpillar(spine, c, lo, hi, seed):
+    """A runs-colored spine with 0-2 leaves per spine vertex."""
+    rng = SplitMix64(seed)
+    colors = _color_runs(rng, spine, c, lo, hi)
+    edges = [(v, v + 1) for v in range(1, spine)]
+    for v in range(1, spine + 1):
+        for _ in range(rng.below(3)):
+            colors.append(1 + rng.below(c))
+            edges.append((v, len(colors)))
+    return ColoredGraph(len(colors), c, edges, colors)
+
+
+def spider(legs, c, lo, hi, seed):
+    """``legs`` paths of ``lo``..``hi`` vertices off vertex 1, colored in
+    runs of 1-5."""
+    rng = SplitMix64(seed)
+    colors, edges = [1 + rng.below(c)], []
+    for _ in range(legs):
+        first = len(colors) + 1
+        colors += _color_runs(rng, lo + rng.below(hi - lo + 1), c, 1, 5)
+        edges += [(1, first)] + [(v, v + 1) for v in range(first, len(colors))]
+    return ColoredGraph(len(colors), c, edges, colors)
 
 
 RRBB_TEXT = "p ccg 4 3 2\nv 1 1\nv 2 1\nv 3 2\nv 4 2\ne 1 2\ne 2 3\ne 3 4\n"

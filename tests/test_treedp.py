@@ -1,17 +1,19 @@
+import itertools
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from consistent_subset import (ColoredGraph, PreconditionError,
                                brute_force_mcs, is_consistent, random_tree,
                                solve_tree_mcs, solve_tree_mcs_detailed)
 from consistent_subset.treedp import (INF, DPTable, dp_entry, make_dp_key,
                                       reconstruct_witness, root_tree,
-                                      _root_keys)
+                                      _admissible, _root_keys)
 
-from helpers import (RRBB, path_graph, ref_is_consistent, ref_minimum_subset,
-                     star_graph)
+from helpers import (RRBB, caterpillar, path_graph, ref_adjacency,
+                     ref_distances, ref_is_consistent, ref_minimum_subset,
+                     runs_path, spider, star_graph)
 
 RED, BLUE = 1, 2
 RBIT, BBIT = 1, 2
@@ -160,9 +162,10 @@ def test_matches_brute_force_on_random_trees():
 
 @st.composite
 def deep_trees(draw, max_n=14):
-    """Paths, caterpillars and spiders with colors in runs along the spine
-    or legs.  Vertex 1 (the solver's root) is a spine end or the spider's
-    centre, so the DP's distance ranges span the whole height."""
+    """Paths, caterpillars, spiders, stars and brooms with colors in runs
+    along the spine, legs or handle.  Vertex 1 (the solver's root) is a
+    spine end, the spider's or star's centre, or the broom's handle end, so
+    the DP's distance ranges span the whole height."""
     c = draw(st.integers(min_value=1, max_value=3))
 
     def runs(length):
@@ -171,7 +174,7 @@ def deep_trees(draw, max_n=14):
             out += [draw(st.integers(1, c))] * draw(st.integers(1, 5))
         return out[:length]
 
-    kind = draw(st.sampled_from(("path", "caterpillar", "spider")))
+    kind = draw(st.sampled_from(("path", "caterpillar", "spider", "star", "broom")))
     if kind == "spider":
         colors, edges = [draw(st.integers(1, c))], []
         for _ in range(draw(st.integers(1, 4))):
@@ -180,8 +183,11 @@ def deep_trees(draw, max_n=14):
             first = len(colors) + 1
             colors += runs(draw(st.integers(1, max_n - len(colors))))
             edges += [(1, first)] + [(v, v + 1) for v in range(first, len(colors))]
+    elif kind == "star":
+        colors = runs(draw(st.integers(1, max_n)))
+        edges = [(1, v) for v in range(2, len(colors) + 1)]
     else:
-        spine = draw(st.integers(1, max_n if kind == "path" else max_n // 2))
+        spine = draw(st.integers(1, max_n if kind != "caterpillar" else max_n // 2))
         colors = runs(spine)
         edges = [(v, v + 1) for v in range(1, spine)]
         if kind == "caterpillar":
@@ -190,10 +196,17 @@ def deep_trees(draw, max_n=14):
                     if len(colors) < max_n:
                         colors.append(draw(st.integers(1, c)))
                         edges.append((v, len(colors)))
+        elif kind == "broom":
+            # bristles fan out of the handle's far end
+            for _ in range(draw(st.integers(0, max_n - spine))):
+                colors.append(draw(st.integers(1, c)))
+                edges.append((spine, len(colors)))
     return ColoredGraph(len(colors), c, edges, colors)
 
 
 @given(deep_trees())
+@example(path_graph([RED] * 12))
+@example(star_graph(BLUE, [BLUE] * 8))
 def test_matches_reference_on_deep_trees(g):
     colors = {v: g.color[v] for v in range(1, g.n + 1)}
     cert = solve_tree_mcs(g)
@@ -221,6 +234,57 @@ def test_solve_restores_recursion_limit():
 def test_solve_deterministic():
     g = random_tree(14, 3, 99)
     assert solve_tree_mcs(g) == solve_tree_mcs(g)
+
+
+# sizes and first-argmin witnesses of seeded deep trees; a change to the
+# split order, the scan order or a prune that removes a finite key moves them
+WITNESS_GOLDENS = [
+    (runs_path, (40, 2, 4, 10, 1), (1, 7, 9, 19, 23, 35, 36)),
+    (runs_path, (60, 3, 3, 12, 2), (2, 16, 22, 38, 39, 47, 55)),
+    (runs_path, (30, 2, 1, 3, 3),
+     (1, 2, 6, 7, 9, 10, 11, 13, 14, 16, 18, 19, 21, 25, 28, 30)),
+    (path_graph, ([RED, BLUE] * 20,), tuple(range(1, 41))),
+    (path_graph, ([1, 2, 3] * 15,), tuple(range(1, 46))),
+    (caterpillar, (18, 2, 2, 6, 4), (19, 20)),
+    (caterpillar, (20, 3, 3, 8, 5), (6, 10, 14, 18, 22, 24, 26, 29, 31, 37, 38)),
+    (spider, (4, 2, 5, 12, 6), (16, 17, 20, 22, 23, 27, 28)),
+    (spider, (3, 3, 8, 15, 7),
+     (2, 4, 6, 8, 10, 11, 13, 28, 29, 32, 34, 35, 37, 41, 42)),
+    (random_tree, (60, 2, 7), (2, 11, 33)),
+    (random_tree, (50, 3, 9), (4, 5, 31, 42, 46)),
+    (random_tree, (40, 4, 10),
+     (1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 18, 20, 22, 25, 26, 27, 28,
+      31, 33, 34, 35, 36, 38, 39, 40)),
+]
+
+
+@pytest.mark.parametrize("build,args,witness", WITNESS_GOLDENS,
+                         ids=[f"{b.__name__}{i}" for i, (b, _, _) in enumerate(WITNESS_GOLDENS)])
+def test_witness_goldens(build, args, witness):
+    g = build(*args)
+    assert g.n <= 60
+    cert = solve_tree_mcs(g)
+    assert (cert.size, cert.witness) == (len(witness), witness)
+
+
+@pytest.mark.parametrize("g", [path_graph([BLUE] * 1000), random_tree(1000, 1, 3)],
+                         ids=["path", "prufer"])
+def test_one_color_tree_stops_at_the_root(g):
+    # one vertex is optimal; the root key choosing vertex 1 reaches that
+    # floor and every child subtree shares its color, so almost no keys
+    cert, _tree, table = solve_tree_mcs_detailed(g)
+    assert cert.witness == (1,)
+    assert table.size <= g.n
+
+
+def test_memo_work_guard():
+    # memo keys, not time: before the color pruning the solver built about
+    # n^2/2 keys on the alternating path, and the counts quoted below
+    g = path_graph([RED, BLUE] * 200)
+    assert solve_tree_mcs_detailed(g)[2].size <= 8 * g.n
+    for g, before in ((runs_path(80, 2, 15, 30, 11), 27_616),
+                      (caterpillar(35, 3, 8, 15, 8), 17_334)):
+        assert solve_tree_mcs_detailed(g)[2].size <= before // 2
 
 
 def test_answer_is_min_over_root_keys():
@@ -255,32 +319,122 @@ def _induced_key(tree, g, members, v, i):
     return make_dp_key(v, i, din, dext, cin, cext)
 
 
+def _check_splice(g):
+    """Every prefix key induced by a consistent set is worth at most the set's
+    inside count (a wrongly rejected key would read INF), and its witness
+    splices back into the set."""
+    n = g.n
+    tree = root_tree(g, 1)
+    table = DPTable()
+    sources = [frozenset(range(1, n + 1)),
+               frozenset(brute_force_mcs(g, cap=n).witness)]
+    for members in sources:
+        for v in range(1, n + 1):
+            for i in range(tree.eta(v) + 1):
+                key = _induced_key(tree, g, members, v, i)
+                value = dp_entry(tree, key, table)
+                prefix = tree.prefix_vertices(v, i)
+                inside = members & prefix
+                assert value <= len(inside)
+                if value == INF:
+                    continue
+                if value == 0:
+                    spliced = members - prefix
+                    if not spliced:
+                        continue
+                else:
+                    replacement = reconstruct_witness(tree, key, table)
+                    spliced = (members - prefix) | replacement
+                assert is_consistent(g, spliced), (v, i, members)
+
+
 def test_splice_property():
     for seed in range(12):
         n = 2 + seed % 8
-        g = random_tree(n, 1 + seed % 3, 700 + seed)
-        tree = root_tree(g, 1)
-        table = DPTable()
-        sources = [frozenset(range(1, n + 1)),
-                   frozenset(brute_force_mcs(g, cap=n).witness)]
-        for members in sources:
-            for v in range(1, n + 1):
-                for i in range(tree.eta(v) + 1):
-                    key = _induced_key(tree, g, members, v, i)
-                    value = dp_entry(tree, key, table)
-                    prefix = tree.prefix_vertices(v, i)
-                    inside = members & prefix
-                    assert value <= len(inside)
-                    if value == INF:
-                        continue
-                    if value == 0:
-                        spliced = members - prefix
-                        if not spliced:
+        _check_splice(random_tree(n, 1 + seed % 3, 700 + seed))
+
+
+@given(deep_trees(max_n=11))
+def test_splice_property_on_deep_trees(g):
+    _check_splice(g)
+
+
+# --------------------------------------------------------------------------
+# the color tests that reject keys before they are built
+
+def _enumerated_values(g, tree, v, i):
+    """``(din, cin, dext) -> [(required outside mask, size)]`` over every
+    subset of the prefix ``T_i(v)``, by plain enumeration with the reference
+    BFS, and the prefix depth.
+
+    A subset with an outside of ``dext``/``cext`` is feasible when every
+    prefix vertex sees its color among its nearest chosen vertices; for
+    fixed ``dext`` that holds exactly for the ``cext`` containing one
+    required mask, or for none.
+    """
+    adj = ref_adjacency(g.n, g.edges)
+    prefix = sorted(tree.prefix_vertices(v, i))
+    dist = {u: ref_distances(adj, u) for u in prefix}
+    depth = max(dist[v][u] for u in prefix)
+    out = {}
+    for k in range(len(prefix) + 1):
+        for chosen in itertools.combinations(prefix, k):
+            din = min((dist[v][s] for s in chosen), default=INF)
+            cin = 0
+            for s in chosen:
+                if dist[v][s] == din:
+                    cin |= tree.color_bit[s]
+            for dext in list(range(1, depth + 3)) + [INF]:
+                need = 0
+                for u in prefix:
+                    near = min((dist[u][s] for s in chosen), default=INF)
+                    seen = 0
+                    for s in chosen:
+                        if dist[u][s] == near:
+                            seen |= tree.color_bit[s]
+                    far = dist[u][v] + dext
+                    bit = tree.color_bit[u]
+                    if near == far == INF or (near < far and not seen & bit):
+                        break
+                    if far < near or (far == near and not seen & bit):
+                        need |= bit
+                else:
+                    out.setdefault((din, cin, dext), []).append((need, k))
+    return out, depth
+
+
+@pytest.mark.parametrize("g", [random_tree(2 + s % 9, 2 + s % 2, 900 + s) for s in range(24)]
+                         # trees whose key values hinge on the split's tie
+                         # and outside-color cases
+                         + [random_tree(10, 2, seed) for seed in (43, 280, 435)]
+                         + [runs_path(8, 2, 1, 4, 1), runs_path(8, 3, 2, 3, 2),
+                            spider(3, 2, 1, 2, 3), caterpillar(4, 2, 2, 3, 4),
+                            path_graph([RED, BLUE] * 4)])
+def test_keys_match_enumeration(g):
+    # every canonical key is worth what enumerating its prefix's subsets
+    # gives, so the color tests reject only INF keys; and the near-outside
+    # bound (dext < din) does reject some
+    tree = root_tree(g, 1)
+    table = DPTable()
+    masks = range(1, 1 << g.c)
+    rejected = 0
+    for v in range(1, g.n + 1):
+        for i in range(tree.eta(v) + 1):
+            values, depth = _enumerated_values(g, tree, v, i)
+            for din in list(range(depth + 1)) + [INF]:
+                for cin in ([0] if din == INF else masks):
+                    for dext in list(range(1, depth + 3)) + [INF]:
+                        if din < dext != INF:
                             continue
-                    else:
-                        replacement = reconstruct_witness(tree, key, table)
-                        spliced = (members - prefix) | replacement
-                    assert is_consistent(g, spliced), (seed, v, i, members)
+                        for cext in ([0] if dext == INF else masks):
+                            want = min((k for need, k in values.get((din, cin, dext), ())
+                                        if not need & ~cext), default=INF)
+                            key = make_dp_key(v, i, din, dext, cin, cext)
+                            assert dp_entry(tree, key, table) == want, key
+                            if not _admissible(tree, *key):
+                                assert want == INF, key
+                                rejected += dext < din
+    assert rejected > 0
 
 
 # --------------------------------------------------------------------------
