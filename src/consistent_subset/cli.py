@@ -148,7 +148,7 @@ def _cmd_bench(args) -> int:
         millis = int(round((time.perf_counter() - t0) * 1000))
         rows.append((n, c, seed, "brute", brute.size, millis, 0))
         t0 = time.perf_counter()
-        cert, _, table = treedp.solve_tree_mcs_detailed(g, color_cap=args.max_c)
+        cert, _, table = treedp.solve_tree_mcs_detailed(g)
         millis = int(round((time.perf_counter() - t0) * 1000))
         rows.append((n, c, seed, "tree-dp", cert.size, millis, table.size))
     if args.output:
@@ -195,7 +195,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "mscs = all nearest neighbors match (default: mcs)")
     p.add_argument("--algo", choices=("auto", "brute", "tree-dp"),
                    default="auto",
-                   help="auto picks tree-dp for trees when variant is mcs")
+                   help="auto picks tree-dp for trees with at most "
+                        "--color-cap colors when variant is mcs")
     p.add_argument("--cap", type=int, default=exact.DEFAULT_VERTEX_CAP,
                    help="vertex cap for brute force (default: %(default)s)")
     p.add_argument("--color-cap", type=int, default=treedp.DEFAULT_COLOR_CAP,

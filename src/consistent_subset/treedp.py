@@ -30,21 +30,23 @@ Recursion.  A key is resolved by case analysis:
 1. color tests -- ``v`` itself must see its color among the color sets
    attaining ``min(din, dext)``, and the prefix must pass the near-outside
    bound below, else ``INF``;
-2. ``din == 0`` forces ``cin == {color(v)}`` (the nearest chosen vertex is
-   ``v`` alone), else ``INF``;
-3. ``din == 0`` (``v`` chosen): each child subtree is solved independently
-   with the outside contracted to "``color(v)`` at distance 1" -- a chosen
-   parent is always at least as close as anything beyond it;
-4-6. ``din > 0`` (``v`` not chosen): split ``din``/``cin`` over the two
-   parts of ``T_i(v)``: choose the distance ``da`` and colors ``ca`` seen
-   inside ``T_{i-1}(v)`` and ``db``/``cb`` inside ``T(v_i)``, subject to
-   ``min(da, db) == din`` with the colors at the minimum uniting to
-   ``cin``; add the best left and right table values.  The left part's
-   outside is the nearer of ``T(v_i)`` and the old outside; the child's is
-   the nearer of the left part and the old outside, one hop farther.  Both
-   subkeys are canonicalized again; an old outside beyond ``din`` changes
-   neither, because for each subkey the side attaining ``din`` is its
-   inside or a nearer part of its outside.
+2. ``din == INF`` (nothing chosen inside): once step 1 passes, every
+   prefix color lies in ``cext``, so the key is worth 0;
+3. every color of ``cin`` must occur at exact depth ``din``, else
+   ``INF``; at ``din == 0`` this forces ``cin == {color(v)}`` (``v``
+   chosen), the one finite key of ``T_0(v) = {v}``, worth 1;
+4. otherwise split ``din``/``cin`` over the two parts of ``T_i(v)``:
+   choose the distance ``da`` and colors ``ca`` seen inside ``T_{i-1}(v)``
+   and ``db``/``cb`` inside ``T(v_i)``, subject to ``min(da, db) == din``
+   with the colors at the minimum uniting to ``cin``; add the best left
+   and right table values.  The left part's outside is the nearer of
+   ``T(v_i)`` and the old outside; the child's is the nearer of the left
+   part and the old outside, one hop farther.  Both subkeys are
+   canonicalized again; an old outside beyond ``din`` changes neither,
+   because for each subkey the side attaining ``din`` is its inside or a
+   nearer part of its outside.  A chosen ``v`` is the split whose left
+   part is chosen: the left key keeps ``din == 0`` and the child sees
+   ``color(v)`` at distance 1, nearer than anything beyond ``v``.
 
 Color sets are int bitmasks (bit ``k`` = color ``k+1``).  All minima are
 taken in a fixed documented order (splits: shared distance first, then
@@ -67,10 +69,15 @@ with no pruning at all:
   lies in ``cext``.  The solver never generates, looks up or stores a
   key failing it or ``v``'s own test: such a key is worth ``INF``, and an
   ``INF`` key or split is never the first argmin of a finite minimum.
-* Zero-cost child.  Under a chosen parent, a child subtree wholly of the
-  parent's color is worth 0, reached only by choosing nothing in it
-  (every other candidate chooses a vertex), so its value is 0 without a
-  scan and reconstruction adds nothing for it.
+* Empty side.  Where only one side of a split attains ``din``, that
+  side's key is fixed and the other side's candidates run through its
+  farther distances, ending with its empty one (``din == INF``).  When the
+  empty candidate passes the color tests it is worth 0 (step 2), while
+  every other candidate chooses a vertex, so it is the only pair
+  generated: it came last in that scan and is strictly better than every
+  pair it replaces (all ``INF`` when the fixed side is), so the first
+  argmin cannot move.  Under a chosen ``v`` this is a child subtree
+  wholly of ``v``'s color.
 * Color-count floor.  A consistent subset holds a vertex of every color
   present, so the root scan stops at the first key worth that many; it
   keeps the first strict minimum, which no later key could beat.
@@ -78,6 +85,7 @@ with no pruning at all:
 
 from __future__ import annotations
 
+import itertools
 import sys
 from collections import Counter
 
@@ -188,9 +196,7 @@ class RootedTree:
     def avail(self, v: int, i: int, d) -> int:
         """Colors present at exact distance ``d`` from ``v`` within ``T_i(v)``."""
         arr = self._pref[v][i]
-        if d == INF or d >= len(arr):
-            return 0
-        return arr[d]
+        return arr[d] if 0 <= d < len(arr) else 0
 
     def near(self, v: int, i: int, r) -> int:
         """Colors at distance below ``r`` from ``v`` within ``T_i(v)``
@@ -201,9 +207,7 @@ class RootedTree:
     def subtree_avail(self, v: int, d) -> int:
         """Colors at exact distance ``d`` from ``v`` within all of ``T(v)``."""
         arr = self._subtree[v]
-        if d == INF or d >= len(arr):
-            return 0
-        return arr[d]
+        return arr[d] if 0 <= d < len(arr) else 0
 
     def subtree_vertices(self, v: int) -> frozenset:
         out = [v]
@@ -237,18 +241,16 @@ def root_tree(g: ColoredGraph, root: int = 1) -> RootedTree:
 
 
 class DPTable:
-    """Memo of prefix-solution minima plus two derived caches.
+    """Memo of prefix-solution minima.
 
     ``memo`` maps full keys to values; ``size`` and ``sizes_by_prefix`` feed
     the complexity-envelope checks and benchmark reporting.
     """
 
-    __slots__ = ("memo", "_child_best", "_chosen_sum")
+    __slots__ = ("memo",)
 
     def __init__(self):
         self.memo: dict = {}
-        self._child_best: dict = {}   # (child, parent color bit) -> min value
-        self._chosen_sum: dict = {}   # (v, i) -> sum of child minima
 
     @property
     def size(self) -> int:
@@ -304,70 +306,22 @@ def _admissible(tree: RootedTree, v: int, i: int, din, dext, cin: int,
     return bool((cin | (cext if dext == din else 0)) & tree.color_bit[v])
 
 
-def _child_key_candidates(tree: RootedTree, u: int, parent_bit: int):
-    """Keys a chosen parent offers its child ``u``, in argmin scan order.
-
-    The parent is at distance 1 with its own color; the child subtree picks
-    any internal distance/color profile; a chosen child hides the parent.
-    Keys failing :func:`_admissible` are left out.  From ``d = 2`` on that
-    is the near-outside bound at ``r = d // 2``, which only tightens as
-    ``d`` grows, so the first failure ends the scan (the ``INF`` key too).
-    """
-    eta = tree.eta(u)
-    ubit = tree.color_bit[u]
-    yield (u, eta, 0, INF, ubit, 0)
-    for cp in _nonempty_submasks(tree.subtree_avail(u, 1)):
-        if (cp | parent_bit) & ubit:
-            yield (u, eta, 1, 1, cp, parent_bit)
-    for d in range(2, tree.height[u] + 1):
-        if tree.near(u, eta, d // 2) & ~parent_bit:
-            return
-        for cp in _nonempty_submasks(tree.subtree_avail(u, d)):
-            yield (u, eta, d, 1, cp, parent_bit)
-    if not tree.near(u, eta, INF) & ~parent_bit:
-        yield (u, eta, INF, 1, 0, parent_bit)
-
-
-def _child_best(tree: RootedTree, u: int, parent_bit: int, table: DPTable):
-    cached = table._child_best.get((u, parent_bit))
-    if cached is None:
-        if tree.near(u, tree.eta(u), INF) == parent_bit:
-            # all of T(u) has the parent's color: choosing nothing there
-            # costs 0, and every other candidate chooses a vertex
-            cached = 0
-        else:
-            cached = INF
-            for key in _child_key_candidates(tree, u, parent_bit):
-                val = dp_entry(tree, key, table)
-                if val < cached:
-                    cached = val
-        table._child_best[(u, parent_bit)] = cached
-    return cached
-
-
-def _chosen_sum(tree: RootedTree, v: int, i: int, table: DPTable):
-    """Sum over the first ``i`` children of their best value under chosen ``v``."""
-    cached = table._chosen_sum.get((v, i))
-    if cached is None:
-        prev = 0 if i == 1 else _chosen_sum(tree, v, i - 1, table)
-        best = _child_best(tree, tree.children[v][i - 1], tree.color_bit[v], table)
-        cached = prev + best
-        table._chosen_sum[(v, i)] = cached
-    return cached
-
-
 def _subkey_pairs(tree: RootedTree, key: tuple):
-    """Yield the ``(left, right)`` canonical subkeys of an unchosen-``v`` key,
-    one pair per split in the documented order, leaving out the pairs with
-    a subkey that fails :func:`_admissible` (worth ``INF``, never an argmin).
+    """Yield the ``(left, right)`` canonical subkeys of a key with finite
+    ``din`` and ``i >= 1``, one pair per split in the documented order,
+    leaving out the pairs with a subkey that fails :func:`_admissible`
+    (worth ``INF``, never an argmin).
 
     A split ``(da, ca, db, cb)`` gives the nearest distance and colors seen
     inside ``T_{i-1}(v)`` (left) and inside ``T(v_i)`` (right).  The left
     part's outside is the nearer of ``T(v_i)`` and the old outside; the
     child's is the nearer of the left part and the old outside, one hop
-    farther.  Where one side stays fixed and the other's inside distance
-    grows, that side's near-outside bound only tightens, so the first
-    failure ends the scan.
+    farther.  A chosen ``v`` (``din == 0``) is the split whose left part is
+    chosen: ``T(v_i)`` holds nothing at distance -1, so only the last
+    branch yields.  Where one side stays fixed and the other's inside
+    distance grows, that side's near-outside bound only tightens, so the
+    first failure ends the scan; where the other side's empty candidate
+    passes the bound, it is yielded alone (see "Empty side").
 
     ``key`` must pass :func:`_admissible`: where a subkey keeps the key's
     nearest distance and outside, its tests follow from the key's and are
@@ -376,36 +330,28 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
     v, i, din, dext, cin, cext = key
     child = tree.children[v][i - 1]
     eta = len(tree.children[child])
-    if din == INF:
-        # nothing is chosen inside: both subkeys' bounds follow from the key's
-        yield (v, i - 1, INF, dext, 0, cext), (child, eta, INF, dext + 1, 0, cext)
-        return
     dmin = dext if dext < din else din        # nearest chosen of all, from v
     la = tree.avail(v, i - 1, din) & cin
     ra = tree.subtree_avail(child, din - 1) & cin
     # both sides attain din; distribute each color of cin left/right/both
-    if la | ra == cin:
+    if la and ra and la | ra == cin:
         tied = cext if dext == din else 0
         options = []
-        bit = 1
         rest = cin
         while rest:
-            if rest & bit:
-                opts = []
-                if la & bit:
-                    opts.append((bit, 0))
-                if ra & bit:
-                    opts.append((0, bit))
-                if la & ra & bit:
-                    opts.append((bit, bit))
-                options.append(opts)
-                rest ^= bit
-            bit <<= 1
-        picks = [0] * len(options)
-        while True:
+            bit = rest & -rest
+            rest ^= bit
+            opts = []
+            if la & bit:
+                opts.append((bit, 0))
+            if ra & bit:
+                opts.append((0, bit))
+            if la & ra & bit:
+                opts.append((bit, bit))
+            options.append(opts)
+        for picks in itertools.product(*options):
             ca = cb = 0
-            for slot, choice in enumerate(picks):
-                a, b = options[slot][choice]
+            for a, b in picks:
                 ca |= a
                 cb |= b
             if ca and cb:
@@ -420,15 +366,6 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
                          else (child, eta, din - 1, INF, cb, 0))
                 if _admissible(tree, *right):
                     yield left, right
-            slot = len(picks) - 1
-            while slot >= 0:
-                if picks[slot] + 1 < len(options[slot]):
-                    picks[slot] += 1
-                    break
-                picks[slot] = 0
-                slot -= 1
-            else:
-                break
     # only the child side attains din; the left part is farther (or empty),
     # so the child's key is fixed and the left sees the outside at `dmin`
     if ra == cin:
@@ -436,20 +373,23 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
         right = ((child, eta, din - 1, dext + 1, cin, cext) if dext <= din - 2
                  else (child, eta, din - 1, INF, cin, 0))
         if _admissible(tree, *right):
-            for da in range(din + 1, tree.depth_limit(v, i - 1) + 1):
-                if tree.near(v, i - 1, (da - dmin + 1) // 2) & ~cx:
-                    break
-                for ca in _nonempty_submasks(tree.avail(v, i - 1, da)):
-                    yield (v, i - 1, da, dmin, ca, cx), right
+            if not tree.near(v, i - 1, INF) & ~cx:
+                yield (v, i - 1, INF, dmin, 0, cx), right
             else:
-                if not tree.near(v, i - 1, INF) & ~cx:
-                    yield (v, i - 1, INF, dmin, 0, cx), right
+                for da in range(din + 1, tree.depth_limit(v, i - 1) + 1):
+                    if tree.near(v, i - 1, (da - dmin + 1) // 2) & ~cx:
+                        break
+                    for ca in _nonempty_submasks(tree.avail(v, i - 1, da)):
+                        yield (v, i - 1, da, dmin, ca, cx), right
     # only the left part attains din; the child side is farther (or empty),
     # so the left key is fixed (its tests follow from the key's) and the
     # child sees the outside at `dmin + 1`
     if la == cin:
         left = (v, i - 1, din, dext, cin, cext)
         cy = (cin if dmin == din else 0) | (cext if dext == dmin else 0)
+        if not tree.near(child, eta, INF) & ~cy:
+            yield left, (child, eta, INF, dmin + 1, 0, cy)
+            return
         for db in range(din + 1, tree.height[child] + 2):
             masks = _nonempty_submasks(tree.subtree_avail(child, db - 1))
             if dmin + 2 < db:
@@ -463,9 +403,6 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
                              else (child, eta, db - 1, INF, cb, 0))
                     if _admissible(tree, *right):
                         yield left, right
-        else:
-            if not tree.near(child, eta, INF) & ~cy:
-                yield left, (child, eta, INF, dmin + 1, 0, cy)
 
 
 def dp_entry(tree: RootedTree, key: tuple, table: DPTable):
@@ -485,17 +422,14 @@ def _compute(tree: RootedTree, key: tuple, table: DPTable):
     v, i, din, dext, cin, cext = key
     if not _admissible(tree, v, i, din, dext, cin, cext):
         return INF
-    if din == 0:
-        if cin != tree.color_bit[v]:
-            return INF
-        if i == 0:
-            return 1
-        return 1 + _chosen_sum(tree, v, i, table)
-    # din must be realizable by colors cin at that exact depth (trivial for INF)
+    if din == INF:
+        return 0  # nothing chosen inside, and every prefix color is in cext
+    # din must be realizable by colors cin at that exact depth; at din == 0
+    # that leaves cin == {color(v)}, v chosen
     if (tree.avail(v, i, din) & cin) != cin:
         return INF
     if i == 0:
-        return 0 if din == INF else INF
+        return 1  # only din == 0 is realizable in {v}
     memo = table.memo
     best = INF
     for left_key, right_key in _subkey_pairs(tree, key):
@@ -516,23 +450,12 @@ def _compute(tree: RootedTree, key: tuple, table: DPTable):
 def _collect(tree: RootedTree, key: tuple, table: DPTable, acc: set) -> None:
     """Re-walk the first argmin of a finite key, adding chosen vertices."""
     v, i, din, _dext, _cin, _cext = key
-    target = table.memo[key]
-    if din == 0:
-        acc.add(v)
-        for j in range(1, i + 1):
-            child = tree.children[v][j - 1]
-            want = _child_best(tree, child, tree.color_bit[v], table)
-            if want == 0:
-                continue  # nothing chosen in T(child)
-            for ck in _child_key_candidates(tree, child, tree.color_bit[v]):
-                if dp_entry(tree, ck, table) == want:
-                    _collect(tree, ck, table, acc)
-                    break
-            else:
-                raise AssertionError("table lost a child argmin")
-        return
+    if din == INF:
+        return  # nothing chosen here
     if i == 0:
-        return  # din == INF: nothing chosen here
+        acc.add(v)  # din == 0: v alone
+        return
+    target = table.memo[key]
     for left_key, right_key in _subkey_pairs(tree, key):
         left = dp_entry(tree, left_key, table)
         if left == INF:

@@ -67,6 +67,10 @@ def test_exact_depth_color_masks():
     assert [t.avail(1, 1, d) for d in range(4)] == [RBIT, RBIT, BBIT, BBIT]
     assert t.avail(1, 1, 9) == 0
     assert t.subtree_avail(3, 1) == BBIT
+    # negative depths hold nothing (they must not index from the far end)
+    assert t.avail(1, 1, -1) == 0
+    assert t.subtree_avail(3, -1) == 0
+    assert t.subtree_avail(1, -1) == 0
 
 
 # --------------------------------------------------------------------------
@@ -209,10 +213,12 @@ def deep_trees(draw, max_n=14):
 @example(star_graph(BLUE, [BLUE] * 8))
 def test_matches_reference_on_deep_trees(g):
     colors = {v: g.color[v] for v in range(1, g.n + 1)}
-    cert = solve_tree_mcs(g)
+    cert, _tree, table = solve_tree_mcs_detailed(g)
     assert cert.size == len(ref_minimum_subset(g.n, colors, g.edges))
     assert len(cert.witness) == cert.size
     assert ref_is_consistent(g.n, colors, g.edges, cert.witness)
+    # every key the solve built is valid and canonical
+    assert all(make_dp_key(*key) == key for key in table.memo)
 
 
 def test_solve_restores_recursion_limit():
