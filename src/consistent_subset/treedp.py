@@ -29,7 +29,7 @@ Recursion.  A key is resolved by case analysis:
 
 1. color tests -- ``v`` itself must see its color among the color sets
    attaining ``min(din, dext)``, and the prefix must pass the near-outside
-   bound below, else ``INF``;
+   and far-side bounds below, else ``INF``;
 2. ``din == INF`` (nothing chosen inside): once step 1 passes, every
    prefix color lies in ``cext``, so the key is worth 0;
 3. every color of ``cin`` must occur at exact depth ``din``, else
@@ -56,7 +56,7 @@ that order taking the first argmin, so reported witnesses are
 deterministic.
 
 Pruning.  Distance ranges are cut by subtree heights and by the colors
-available at each exact depth.  Three color arguments then drop work
+available at each exact depth.  Four color arguments then drop work
 whose value is known without building it.  None changes a key's value or
 the first argmin of any scan, so sizes and witnesses are the same as
 with no pruning at all:
@@ -69,6 +69,20 @@ with no pruning at all:
   lies in ``cext``.  The solver never generates, looks up or stores a
   key failing it or ``v``'s own test: such a key is worth ``INF``, and an
   ``INF`` key or split is never the first argmin of a finite minimum.
+* Far-side bound.  With finite ``din >= 2``, let ``x`` be the LCA of the
+  prefix vertices at depth ``din``; every chosen vertex at that depth lies
+  below it.  A vertex ``u`` on the path from ``v`` to ``x``, at depth
+  ``1 <= k < din``, has chosen inside vertices below it at ``din - k``, and
+  every other inside vertex farther (below ``u`` but deeper, or reached
+  back through ``u``'s parent), so its nearest inside colors are exactly
+  ``cin``.  The outside lies at ``k + dext``; when ``2k > din - dext``
+  (every ``k`` when ``dext`` is ``INF``) ``u`` sees ``cin`` alone, and the
+  key is ``INF`` unless ``color(u)`` is in ``cin``.  Counting ``x`` itself
+  when it lies at depth ``din`` is harmless: it is then the only vertex
+  there, so the exact-depth test already forces ``cin == {color(x)}``.
+  The solver never generates, looks up or stores a key failing it, in the
+  subkeys of a split included, and for the reason above the first argmin
+  cannot move.
 * Empty side.  Where only one side of a split attains ``din``, that
   side's key is fixed and the other side's candidates run through its
   farther distances, ending with its empty one (``din == INF``).  When the
@@ -104,12 +118,13 @@ class RootedTree:
 
     Children are ordered by ascending vertex id.  Precomputes, per vertex,
     subtree heights, the color masks available at each exact depth of
-    every child prefix, and their running unions by depth; the solver uses
-    those to prune infeasible keys.
+    every child prefix, their running unions by depth, and the LCA of each
+    such level; and, per vertex, the nearest ancestor-or-self depth of each
+    color.  The solver uses those to prune infeasible keys.
     """
 
-    __slots__ = ("graph", "root", "parent", "children", "height",
-                 "color_bit", "_pref", "_subtree", "_near")
+    __slots__ = ("graph", "root", "parent", "children", "height", "color_bit",
+                 "_depth", "_up", "_pref", "_subtree", "_near", "_lca")
 
     def __init__(self, g: ColoredGraph, root: int):
         if not g.is_tree:
@@ -121,6 +136,7 @@ class RootedTree:
         n = g.n
         adj = g.adjacency
         parent = [0] * (n + 1)
+        depth = [0] * (n + 1)
         children: list[tuple[int, ...]] = [()] * (n + 1)
         order = [root]
         parent[root] = 0
@@ -132,6 +148,7 @@ class RootedTree:
                 if not seen[w]:
                     seen[w] = 1
                     parent[w] = u
+                    depth[w] = depth[u] + 1
                     kids.append(w)
             children[u] = tuple(kids)  # adjacency is sorted => ascending ids
             order.extend(kids)
@@ -139,52 +156,96 @@ class RootedTree:
         self.children = tuple(children)
         self.color_bit = tuple(0 if v == 0 else 1 << (g.color[v] - 1)
                                for v in range(n + 1))
+        self._depth = depth
+        # per vertex x, from x up to the root: (depth, mask) steps where mask
+        # holds the colors whose nearest ancestor-or-self of x lies at that
+        # depth or deeper; at most one step per color
+        up: list = [()] * (n + 1)
+        for u in order:
+            bit = last = self.color_bit[u]
+            steps = [(depth[u], bit)]
+            for d, mask in up[parent[u]]:
+                mask |= bit
+                if mask != last:
+                    steps.append((d, mask))
+                    last = mask
+            up[u] = steps
+        self._up = up
         height = [0] * (n + 1)
-        # colors at each exact depth of the full subtree T(v), and all its colors
+        # colors at each exact depth of the full subtree T(v), all its colors,
+        # and the LCA of its vertices at each depth.  LCA rows run from the
+        # deepest level up to depth 0 (the row of T_i(v) holds depth d at
+        # index depth_limit(v, i) - d), so a vertex with one child appends
+        # itself to that child's list instead of copying it; no other
+        # vertex extends that list.
         sub: list = [None] * (n + 1)
+        sub_lca: list = [None] * (n + 1)
         sub_colors = [0] * (n + 1)
         for u in reversed(order):
             kids = children[u]
             colors = self.color_bit[u]
             arr = [colors]
+            lca = [u]
             if kids:
                 tallest = max(kids, key=height.__getitem__)
                 arr += sub[tallest]
+                if len(kids) == 1:
+                    lca = sub_lca[tallest]
+                    lca.append(u)
+                else:
+                    lca = sub_lca[tallest] + lca
+                top = len(arr) - 1
                 for w in kids:
                     if w != tallest:
-                        for d, mask in enumerate(sub[w]):
+                        warr = sub[w]
+                        for d, mask in enumerate(warr):
                             arr[d + 1] |= mask
+                        lca[top - len(warr):top] = [u] * len(warr)
                     colors |= sub_colors[w]
             height[u] = len(arr) - 1
             sub[u] = arr
+            sub_lca[u] = lca
             sub_colors[u] = colors
         self.height = tuple(height)
         self._subtree = sub
-        # colors at each exact depth of every child prefix T_i(v) (the last
-        # prefix is T(v) itself), and their running unions by depth
+        # the same for every child prefix T_i(v) (the last prefix is T(v)
+        # itself), and the running unions of its colors by depth
         pref: list = [None] * (n + 1)
         near: list = [None] * (n + 1)
+        lcas: list = [None] * (n + 1)
         for u in order:
             kids = children[u]
             cur = [self.color_bit[u]]
+            lca = [u]
             colors = cur[0]
             arrs = [cur]
             rows = [_running_union(cur, colors)]
+            lrows = [lca]
             for j, w in enumerate(kids):
                 if j == len(kids) - 1:
                     cur = sub[u]
+                    lca = sub_lca[u]
                 else:
                     warr = sub[w]
+                    # depths 0..m, which both parts reach, now meet at u;
+                    # deeper levels keep the taller part's LCA
+                    m = min(len(cur), len(warr) + 1) - 1
+                    deeper = (lca[:len(cur) - 1 - m] if len(cur) > len(warr) + 1
+                              else sub_lca[w][:len(warr) - m])
+                    lca = deeper + [u] * (m + 1)
                     cur = cur + [0] * max(0, len(warr) + 1 - len(cur))
                     for d, mask in enumerate(warr):
                         cur[d + 1] |= mask
                 colors |= sub_colors[w]
                 arrs.append(cur)
                 rows.append(_running_union(cur, colors))
+                lrows.append(lca)
             pref[u] = arrs
             near[u] = rows
+            lcas[u] = lrows
         self._pref = pref
         self._near = near
+        self._lca = lcas
 
     def eta(self, v: int) -> int:
         return len(self.children[v])
@@ -202,24 +263,30 @@ class RootedTree:
         """Colors at distance below ``r`` from ``v`` within ``T_i(v)``
         (every color of the prefix when ``r`` is ``INF``)."""
         row = self._near[v][i]
-        return row[r] if r < len(row) else row[-1]
+        if r >= len(row):
+            return row[-1]
+        return row[r] if r > 0 else 0
+
+    def far(self, v: int, i: int, d: int, k: int) -> int:
+        """Colors at distance ``k`` (``>= 1``) or more from ``v`` on the path
+        from ``v`` down to ``x``, the LCA of the vertices of ``T_i(v)`` at
+        distance ``d``; 0 when ``x`` is ``v`` or no vertex lies at ``d``."""
+        top = len(self._pref[v][i]) - 1
+        x = self._lca[v][i][top - d] if d <= top else v
+        if x == v:
+            return 0
+        t = self._depth[v] + k
+        out = 0
+        for depth, mask in self._up[x]:
+            if depth < t:
+                break
+            out = mask
+        return out
 
     def subtree_avail(self, v: int, d) -> int:
         """Colors at exact distance ``d`` from ``v`` within all of ``T(v)``."""
         arr = self._subtree[v]
         return arr[d] if 0 <= d < len(arr) else 0
-
-    def subtree_vertices(self, v: int) -> frozenset:
-        out = [v]
-        for u in out:
-            out.extend(self.children[u])
-        return frozenset(out)
-
-    def prefix_vertices(self, v: int, i: int) -> frozenset:
-        out = [v]
-        for w in self.children[v][:i]:
-            out.extend(self.subtree_vertices(w))
-        return frozenset(out)
 
 
 def _running_union(masks: list, full: int) -> list:
@@ -299,11 +366,24 @@ def _admissible(tree: RootedTree, v: int, i: int, din, dext, cin: int,
     colors ``cext`` alone; every color at those depths must lie in
     ``cext`` (depth 0 is ``v`` itself).  Otherwise ``v`` must find its
     color among the sets at ``din`` (and at ``dext`` on a tie).
+
+    Far-side bound (``din >= 2``; at ``din == 1`` the exact-depth test
+    decides the same keys): a vertex at depth ``k`` with
+    ``2k > din - dext`` on the path from ``v`` to the LCA of the prefix's
+    level ``din`` sees the colors ``cin`` alone, so its color must lie in
+    ``cin``.
     """
     if dext < din:
-        r = INF if din == INF else (din - dext + 1) // 2
-        return not tree.near(v, i, r) & ~cext
-    return bool((cin | (cext if dext == din else 0)) & tree.color_bit[v])
+        if din == INF:
+            return not tree.near(v, i, INF) & ~cext
+        if tree.near(v, i, (din - dext + 1) // 2) & ~cext:
+            return False
+        k = (din - dext) // 2 + 1
+    elif (cin | (cext if dext == din else 0)) & tree.color_bit[v]:
+        k = 1
+    else:
+        return False
+    return din < 2 or not tree.far(v, i, din, k) & ~cin
 
 
 def _subkey_pairs(tree: RootedTree, key: tuple):
@@ -323,9 +403,12 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
     first failure ends the scan; where the other side's empty candidate
     passes the bound, it is yielded alone (see "Empty side").
 
-    ``key`` must pass :func:`_admissible`: where a subkey keeps the key's
-    nearest distance and outside, its tests follow from the key's and are
-    not repeated.
+    ``key`` must pass :func:`_admissible`: where a left subkey keeps the
+    key's nearest distance and outside, its near-outside and own tests
+    follow from the key's and are not repeated.  Its far-side test does
+    not, since ``T_{i-1}(v)`` has its own LCA at each level and ``ca`` may
+    be smaller than ``cin``: every left key and every child key not passed
+    through :func:`_admissible` is checked against it here.
     """
     v, i, din, dext, cin, cext = key
     child = tree.children[v][i - 1]
@@ -333,8 +416,10 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
     dmin = dext if dext < din else din        # nearest chosen of all, from v
     la = tree.avail(v, i - 1, din) & cin
     ra = tree.subtree_avail(child, din - 1) & cin
+    # colors that a left key attaining din must hold (far-side bound)
+    fa = tree.far(v, i - 1, din, (din - dmin) // 2 + 1) if la and din >= 2 else 0
     # both sides attain din; distribute each color of cin left/right/both
-    if la and ra and la | ra == cin:
+    if la and ra and la | ra == cin and not fa & ~la:
         tied = cext if dext == din else 0
         options = []
         rest = cin
@@ -344,7 +429,7 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
             opts = []
             if la & bit:
                 opts.append((bit, 0))
-            if ra & bit:
+            if ra & bit and not fa & bit:
                 opts.append((0, bit))
             if la & ra & bit:
                 opts.append((bit, bit))
@@ -355,7 +440,6 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
                 ca |= a
                 cb |= b
             if ca and cb:
-                # the left key's tests follow from the key's
                 if dmin < din:
                     left = (v, i - 1, din, dmin, ca, cext)
                     cy = cext
@@ -379,12 +463,13 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
                 for da in range(din + 1, tree.depth_limit(v, i - 1) + 1):
                     if tree.near(v, i - 1, (da - dmin + 1) // 2) & ~cx:
                         break
+                    far = tree.far(v, i - 1, da, (da - dmin) // 2 + 1)
                     for ca in _nonempty_submasks(tree.avail(v, i - 1, da)):
-                        yield (v, i - 1, da, dmin, ca, cx), right
+                        if not far & ~ca:
+                            yield (v, i - 1, da, dmin, ca, cx), right
     # only the left part attains din; the child side is farther (or empty),
-    # so the left key is fixed (its tests follow from the key's) and the
-    # child sees the outside at `dmin + 1`
-    if la == cin:
+    # so the left key is fixed and the child sees the outside at `dmin + 1`
+    if la == cin and not fa & ~cin:
         left = (v, i - 1, din, dext, cin, cext)
         cy = (cin if dmin == din else 0) | (cext if dext == dmin else 0)
         if not tree.near(child, eta, INF) & ~cy:
@@ -395,8 +480,10 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
             if dmin + 2 < db:
                 if tree.near(child, eta, (db - dmin - 1) // 2) & ~cy:
                     break
+                far = tree.far(child, eta, db - 1, (db - dmin) // 2)
                 for cb in masks:
-                    yield left, (child, eta, db - 1, dmin + 1, cb, cy)
+                    if not far & ~cb:
+                        yield left, (child, eta, db - 1, dmin + 1, cb, cy)
             else:
                 for cb in masks:
                     right = ((child, eta, db - 1, dmin + 1, cb, cy) if dmin + 2 == db
@@ -485,18 +572,15 @@ def reconstruct_witness(tree: RootedTree, key: tuple, table: DPTable) -> frozens
 def _root_keys(tree: RootedTree):
     """Top-level keys in scan order: distance ascending, masks descending.
 
-    Keys whose color set misses the root's color are infeasible (the root
-    must see its own color at the overall minimum distance) and skipped.
+    Keys that fail :func:`_admissible` are infeasible and skipped: the
+    root must see its own color at the overall minimum distance, and the
+    far-side bound applies.
     """
     r = tree.root
     eta = tree.eta(r)
-    rbit = tree.color_bit[r]
     for d in range(0, tree.depth_limit(r, eta) + 1):
-        m = tree.avail(r, eta, d)
-        if not m & rbit:
-            continue
-        for cp in _nonempty_submasks(m):
-            if cp & rbit:
+        for cp in _nonempty_submasks(tree.avail(r, eta, d)):
+            if _admissible(tree, r, eta, d, INF, cp, 0):
                 yield (r, eta, d, INF, cp, 0)
 
 

@@ -100,6 +100,18 @@ def ref_min_set_cover(n, sets):
 
 
 # --------------------------------------------------------------------------
+# rooted trees
+
+def prefix_vertices(tree, v, i):
+    """Vertices of the child prefix ``T_i(v)`` of a rooted tree: ``v`` and
+    the subtrees of its first ``i`` children (all of them gives ``T(v)``)."""
+    out = [v]
+    for u in out:
+        out.extend(tree.children[u][:i] if u == v else tree.children[u])
+    return frozenset(out)
+
+
+# --------------------------------------------------------------------------
 # graph builders
 
 def path_graph(colors):

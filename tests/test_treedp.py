@@ -11,9 +11,9 @@ from consistent_subset.treedp import (INF, DPTable, dp_entry, make_dp_key,
                                       reconstruct_witness, root_tree,
                                       _admissible, _root_keys)
 
-from helpers import (RRBB, caterpillar, path_graph, ref_adjacency,
-                     ref_distances, ref_is_consistent, ref_minimum_subset,
-                     runs_path, spider, star_graph)
+from helpers import (RRBB, caterpillar, path_graph, prefix_vertices,
+                     ref_adjacency, ref_distances, ref_is_consistent,
+                     ref_minimum_subset, runs_path, spider, star_graph)
 
 RED, BLUE = 1, 2
 RBIT, BBIT = 1, 2
@@ -55,10 +55,10 @@ def test_root_rejects_non_tree():
 
 def test_prefix_and_subtree_vertices():
     t = root_tree(RRBB, 2)
-    assert t.subtree_vertices(3) == frozenset({3, 4})
-    assert t.prefix_vertices(2, 0) == frozenset({2})
-    assert t.prefix_vertices(2, 1) == frozenset({1, 2})
-    assert t.prefix_vertices(2, 2) == frozenset({1, 2, 3, 4})
+    assert prefix_vertices(t, 3, t.eta(3)) == frozenset({3, 4})
+    assert prefix_vertices(t, 2, 0) == frozenset({2})
+    assert prefix_vertices(t, 2, 1) == frozenset({1, 2})
+    assert prefix_vertices(t, 2, 2) == frozenset({1, 2, 3, 4})
 
 
 def test_exact_depth_color_masks():
@@ -67,10 +67,14 @@ def test_exact_depth_color_masks():
     assert [t.avail(1, 1, d) for d in range(4)] == [RBIT, RBIT, BBIT, BBIT]
     assert t.avail(1, 1, 9) == 0
     assert t.subtree_avail(3, 1) == BBIT
-    # negative depths hold nothing (they must not index from the far end)
+    # negative depths and radii hold nothing (they must not index from the
+    # far end)
     assert t.avail(1, 1, -1) == 0
     assert t.subtree_avail(3, -1) == 0
     assert t.subtree_avail(1, -1) == 0
+    assert [t.near(1, 1, r) for r in (-1, 0, 1, 3, INF)] == [0, 0, RBIT, RBIT | BBIT,
+                                                             RBIT | BBIT]
+    assert t.near(3, 1, -1) == 0
 
 
 # --------------------------------------------------------------------------
@@ -285,12 +289,17 @@ def test_one_color_tree_stops_at_the_root(g):
 
 def test_memo_work_guard():
     # memo keys, not time: before the color pruning the solver built about
-    # n^2/2 keys on the alternating path, and the counts quoted below
+    # n^2/2 keys on the alternating path; before the far-side bound it built
+    # 12,769 keys on the runs-path and 1,835 on the caterpillar
     g = path_graph([RED, BLUE] * 200)
     assert solve_tree_mcs_detailed(g)[2].size <= 8 * g.n
-    for g, before in ((runs_path(80, 2, 15, 30, 11), 27_616),
-                      (caterpillar(35, 3, 8, 15, 8), 17_334)):
-        assert solve_tree_mcs_detailed(g)[2].size <= before // 2
+    for g, most in ((runs_path(80, 2, 15, 30, 11), 12_769 // 2),
+                    (caterpillar(35, 3, 8, 15, 8), 1_834),
+                    (random_tree(40, 2, 10), None)):
+        _cert, tree, table = solve_tree_mcs_detailed(g)
+        assert most is None or table.size <= most
+        # the solver never stores a key that its color tests reject
+        assert all(_admissible(tree, *key) for key in table.memo)
 
 
 def test_answer_is_min_over_root_keys():
@@ -319,7 +328,7 @@ def _induced_key(tree, g, members, v, i):
                 mask |= tree.color_bit[u]
         return best, mask
 
-    prefix = tree.prefix_vertices(v, i)
+    prefix = prefix_vertices(tree, v, i)
     din, cin = profile(prefix)
     dext, cext = profile(set(range(1, g.n + 1)) - prefix)
     return make_dp_key(v, i, din, dext, cin, cext)
@@ -339,7 +348,7 @@ def _check_splice(g):
             for i in range(tree.eta(v) + 1):
                 key = _induced_key(tree, g, members, v, i)
                 value = dp_entry(tree, key, table)
-                prefix = tree.prefix_vertices(v, i)
+                prefix = prefix_vertices(tree, v, i)
                 inside = members & prefix
                 assert value <= len(inside)
                 if value == INF:
@@ -379,7 +388,7 @@ def _enumerated_values(g, tree, v, i):
     required mask, or for none.
     """
     adj = ref_adjacency(g.n, g.edges)
-    prefix = sorted(tree.prefix_vertices(v, i))
+    prefix = sorted(prefix_vertices(tree, v, i))
     dist = {u: ref_distances(adj, u) for u in prefix}
     depth = max(dist[v][u] for u in prefix)
     out = {}
@@ -418,12 +427,13 @@ def _enumerated_values(g, tree, v, i):
                             path_graph([RED, BLUE] * 4)])
 def test_keys_match_enumeration(g):
     # every canonical key is worth what enumerating its prefix's subsets
-    # gives, so the color tests reject only INF keys; and the near-outside
-    # bound (dext < din) does reject some
+    # gives, so the color tests reject only INF keys; the near-outside bound
+    # (dext < din) does reject some, and so does the far-side bound among
+    # keys that pass every other test
     tree = root_tree(g, 1)
     table = DPTable()
     masks = range(1, 1 << g.c)
-    rejected = 0
+    rejected = far_only = 0
     for v in range(1, g.n + 1):
         for i in range(tree.eta(v) + 1):
             values, depth = _enumerated_values(g, tree, v, i)
@@ -440,7 +450,94 @@ def test_keys_match_enumeration(g):
                             if not _admissible(tree, *key):
                                 assert want == INF, key
                                 rejected += dext < din
+                            if _far_rejects(tree, *key):
+                                assert want == INF, key
+                                far_only += _passes_other_tests(tree, *key)
     assert rejected > 0
+    # (the shallower trees here have no key that the far bound alone decides)
+    assert far_only > 0 or tree.height[1] < 3
+
+
+def _far_rejects(tree, v, i, din, dext, cin, cext):
+    """The far-side bound: some vertex on the path from ``v`` to the LCA of
+    the prefix's level ``din``, nearer to that level than to the outside,
+    has a color outside ``cin``."""
+    if din == INF:
+        return False
+    k = (din - dext) // 2 + 1 if dext < din else 1
+    return bool(tree.far(v, i, din, k) & ~cin)
+
+
+def _passes_other_tests(tree, v, i, din, dext, cin, cext):
+    """The exact-depth test, the near-outside bound and ``v``'s own test."""
+    if tree.avail(v, i, din) & cin != cin:
+        return False
+    if dext < din:
+        return not tree.near(v, i, (din - dext + 1) // 2) & ~cext
+    return bool((cin | (cext if dext == din else 0)) & tree.color_bit[v])
+
+
+def _lca_row(tree, v, i):
+    """LCA of the vertices of ``T_i(v)`` at each distance from ``v``."""
+    top = tree.depth_limit(v, i)
+    return [tree._lca[v][i][top - d] for d in range(top + 1)]   # deepest first
+
+
+def _naive_lca_row(tree, v, i):
+    prefix = prefix_vertices(tree, v, i)
+    row = []
+    level = {v}
+    while level:
+        meet = level
+        while len(meet) > 1:
+            meet = {tree.parent[u] for u in meet}
+        row.append(min(meet))
+        level = {w for u in level for w in tree.children[u] if w in prefix}
+    return row
+
+
+SPIDER_EDGES = [(1, 2), (2, 3), (3, 4), (3, 5), (4, 6), (5, 7)]
+
+
+@pytest.mark.parametrize("g", [runs_path(12, 2, 1, 3, 5), caterpillar(6, 2, 1, 2, 5),
+                               spider(3, 3, 2, 4, 6), random_tree(40, 3, 4)])
+def test_lca_rows_match_a_naive_climb(g):
+    tree = root_tree(g, 1)
+    for v in range(1, g.n + 1):
+        for i in range(tree.eta(v) + 1):
+            assert _lca_row(tree, v, i) == _naive_lca_row(tree, v, i), (v, i)
+
+
+def test_far_side_bound_on_a_branching_level():
+    # a spider with centre 3, rooted at the end of one leg: 1 - 2 - 3, then
+    # legs 3 - 4 - 6 and 3 - 5 - 7.  Both legs reach levels 3 and 4 of T(1),
+    # so their LCA is 3, above those levels and not on a path
+    g = ColoredGraph(7, 2, SPIDER_EDGES, [RED, BLUE, BLUE, RED, RED, RED, RED])
+    tree = root_tree(g, 1)
+    assert _lca_row(tree, 1, 1) == [1, 2, 3, 3, 3]
+    assert _lca_row(tree, 3, 1) == [3, 4, 6]
+    assert _lca_row(tree, 3, 2) == [3, 3, 3]
+    assert _lca_row(tree, 2, 1) == [2, 3, 3, 3]
+    # choosing only at depth 4 (6 and 7) leaves the blue 2 and 3 seeing red
+    # alone: the far bound rejects the key, which every other test passes
+    assert tree.far(1, 1, 4, 1) == BBIT
+    assert tree.far(1, 1, 4, 3) == 0    # 3 lies at depth 2
+    for key in [(1, 1, 4, INF, RBIT, 0),
+                # an outside at 2 ties with 2, so only 3 must see red alone
+                (1, 1, 4, 2, RBIT, RBIT | BBIT)]:
+        assert _passes_other_tests(tree, *key)
+        assert not _admissible(tree, *key)
+        assert dp_entry(tree, key, DPTable()) == INF
+    # with 3 red, the tie at 2 lets that key through; choosing 6 alone works
+    tree = root_tree(ColoredGraph(7, 2, SPIDER_EDGES, [RED, BLUE] + [RED] * 5), 1)
+    key = (1, 1, 4, 2, RBIT, RBIT | BBIT)
+    assert _admissible(tree, *key)
+    assert dp_entry(tree, key, DPTable()) == 1
+    for colors in itertools.product((RED, BLUE), repeat=7):
+        cert = solve_tree_mcs(ColoredGraph(7, 2, SPIDER_EDGES, list(colors)))
+        by_vertex = dict(enumerate(colors, 1))
+        assert cert.size == len(ref_minimum_subset(7, by_vertex, SPIDER_EDGES)), colors
+        assert ref_is_consistent(7, by_vertex, SPIDER_EDGES, cert.witness)
 
 
 # --------------------------------------------------------------------------
