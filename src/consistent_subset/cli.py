@@ -136,6 +136,9 @@ def _cmd_bench(args) -> int:
     if args.max_c > treedp.DEFAULT_COLOR_CAP:
         raise _CliError(
             2, f"--max-c above {treedp.DEFAULT_COLOR_CAP} exceeds the tree solver's color cap")
+    if args.max_n > exact.DEFAULT_VERTEX_CAP:
+        raise _CliError(
+            2, f"--max-n above {exact.DEFAULT_VERTEX_CAP} exceeds brute force's vertex cap")
     rows = []
     for i in range(args.count):
         seed = args.seed + i
@@ -144,7 +147,7 @@ def _cmd_bench(args) -> int:
         c = 1 + rng.below(args.max_c)
         g = instances.random_tree(n, c, seed)
         t0 = time.perf_counter()
-        brute = exact.brute_force_mcs(g, cap=n)
+        brute = exact.brute_force_mcs(g)
         millis = int(round((time.perf_counter() - t0) * 1000))
         rows.append((n, c, seed, "brute", brute.size, millis, 0))
         t0 = time.perf_counter()

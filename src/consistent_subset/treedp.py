@@ -84,17 +84,23 @@ with no pruning at all:
   subkeys of a split included, and for the reason above the first argmin
   cannot move.
 * Empty side.  Where only one side of a split attains ``din``, that
-  side's key is fixed and the other side's candidates run through its
-  farther distances, ending with its empty one (``din == INF``).  When the
-  empty candidate passes the color tests it is worth 0 (step 2), while
-  every other candidate chooses a vertex, so it is the only pair
-  generated: it came last in that scan and is strictly better than every
-  pair it replaces (all ``INF`` when the fixed side is), so the first
-  argmin cannot move.  Under a chosen ``v`` this is a child subtree
-  wholly of ``v``'s color.
+  side's key is fixed and the other side's candidates come from the one
+  key scan, ``_side_keys`` (which also yields the root keys): its farther
+  distances, ending with its empty one (``din == INF``).  When the empty
+  candidate passes the color tests it is worth 0 (step 2), while every
+  other candidate chooses a vertex, so it is the only key yielded: it
+  came last in that scan and is strictly better than every pair it
+  replaces (all ``INF`` when the fixed side is), so the first argmin
+  cannot move.  Under a chosen ``v`` this is a child subtree wholly of
+  ``v``'s color.
 * Color-count floor.  A consistent subset holds a vertex of every color
   present, so the root scan stops at the first key worth that many; it
   keeps the first strict minimum, which no later key could beat.
+
+The color tests of step 1 run once per key, where the key is generated:
+in ``_side_keys`` for root keys and scanned sides, in ``_subkey_pairs``
+for the fixed sides of a split, and in ``dp_entry`` for a key passed in
+from outside.  The recursion itself starts at step 2.
 """
 
 from __future__ import annotations
@@ -124,7 +130,7 @@ class RootedTree:
     """
 
     __slots__ = ("graph", "root", "parent", "children", "height", "color_bit",
-                 "_depth", "_up", "_pref", "_subtree", "_near", "_lca")
+                 "_depth", "_up", "_pref", "_near", "_lca")
 
     def __init__(self, g: ColoredGraph, root: int):
         if not g.is_tree:
@@ -207,7 +213,6 @@ class RootedTree:
             sub_lca[u] = lca
             sub_colors[u] = colors
         self.height = tuple(height)
-        self._subtree = sub
         # the same for every child prefix T_i(v) (the last prefix is T(v)
         # itself), and the running unions of its colors by depth
         pref: list = [None] * (n + 1)
@@ -282,11 +287,6 @@ class RootedTree:
                 break
             out = mask
         return out
-
-    def subtree_avail(self, v: int, d) -> int:
-        """Colors at exact distance ``d`` from ``v`` within all of ``T(v)``."""
-        arr = self._subtree[v]
-        return arr[d] if 0 <= d < len(arr) else 0
 
 
 def _running_union(masks: list, full: int) -> list:
@@ -386,11 +386,34 @@ def _admissible(tree: RootedTree, v: int, i: int, din, dext, cin: int,
     return din < 2 or not tree.far(v, i, din, k) & ~cin
 
 
+def _side_keys(tree: RootedTree, u: int, j: int, d0: int, dext, cext: int):
+    """Yield the canonical keys of ``T_j(u)`` with inside distance ``d0`` or
+    more under the outside ``dext``/``cext``, in scan order (distance
+    ascending, masks descending), leaving out those that fail
+    :func:`_admissible` (worth ``INF``, never an argmin).
+
+    When the empty inside passes the color tests it is yielded alone (see
+    "Empty side"); otherwise it fails them and is not yielded.  Past
+    ``dext`` the near-outside bound only tightens as the distance grows, so
+    the first distance failing it ends the scan.
+    """
+    if not tree.near(u, j, INF) & ~cext:
+        yield (u, j, INF, dext, 0, cext)
+        return
+    for d in range(d0, tree.depth_limit(u, j) + 1):
+        if d > dext and tree.near(u, j, (d - dext + 1) // 2) & ~cext:
+            return
+        for mask in _nonempty_submasks(tree.avail(u, j, d)):
+            key = (u, j, d, dext, mask, cext) if dext <= d else (u, j, d, INF, mask, 0)
+            if _admissible(tree, *key):
+                yield key
+
+
 def _subkey_pairs(tree: RootedTree, key: tuple):
     """Yield the ``(left, right)`` canonical subkeys of a key with finite
     ``din`` and ``i >= 1``, one pair per split in the documented order,
     leaving out the pairs with a subkey that fails :func:`_admissible`
-    (worth ``INF``, never an argmin).
+    (worth ``INF``, never an argmin), so every subkey yielded passes it.
 
     A split ``(da, ca, db, cb)`` gives the nearest distance and colors seen
     inside ``T_{i-1}(v)`` (left) and inside ``T(v_i)`` (right).  The left
@@ -398,24 +421,22 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
     child's is the nearer of the left part and the old outside, one hop
     farther.  A chosen ``v`` (``din == 0``) is the split whose left part is
     chosen: ``T(v_i)`` holds nothing at distance -1, so only the last
-    branch yields.  Where one side stays fixed and the other's inside
-    distance grows, that side's near-outside bound only tightens, so the
-    first failure ends the scan; where the other side's empty candidate
-    passes the bound, it is yielded alone (see "Empty side").
+    branch yields.  Where one side stays fixed, the other side's keys come
+    from the one scan :func:`_side_keys`, which runs their color tests.
 
     ``key`` must pass :func:`_admissible`: where a left subkey keeps the
     key's nearest distance and outside, its near-outside and own tests
     follow from the key's and are not repeated.  Its far-side test does
     not, since ``T_{i-1}(v)`` has its own LCA at each level and ``ca`` may
-    be smaller than ``cin``: every left key and every child key not passed
-    through :func:`_admissible` is checked against it here.
+    be smaller than ``cin``, so those left keys are checked against it
+    here, and the fixed child keys are passed through :func:`_admissible`.
     """
     v, i, din, dext, cin, cext = key
     child = tree.children[v][i - 1]
     eta = len(tree.children[child])
     dmin = dext if dext < din else din        # nearest chosen of all, from v
     la = tree.avail(v, i - 1, din) & cin
-    ra = tree.subtree_avail(child, din - 1) & cin
+    ra = tree.avail(child, eta, din - 1) & cin
     # colors that a left key attaining din must hold (far-side bound)
     fa = tree.far(v, i - 1, din, (din - dmin) // 2 + 1) if la and din >= 2 else 0
     # both sides attain din; distribute each color of cin left/right/both
@@ -457,58 +478,36 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
         right = ((child, eta, din - 1, dext + 1, cin, cext) if dext <= din - 2
                  else (child, eta, din - 1, INF, cin, 0))
         if _admissible(tree, *right):
-            if not tree.near(v, i - 1, INF) & ~cx:
-                yield (v, i - 1, INF, dmin, 0, cx), right
-            else:
-                for da in range(din + 1, tree.depth_limit(v, i - 1) + 1):
-                    if tree.near(v, i - 1, (da - dmin + 1) // 2) & ~cx:
-                        break
-                    far = tree.far(v, i - 1, da, (da - dmin) // 2 + 1)
-                    for ca in _nonempty_submasks(tree.avail(v, i - 1, da)):
-                        if not far & ~ca:
-                            yield (v, i - 1, da, dmin, ca, cx), right
+            for left in _side_keys(tree, v, i - 1, din + 1, dmin, cx):
+                yield left, right
     # only the left part attains din; the child side is farther (or empty),
     # so the left key is fixed and the child sees the outside at `dmin + 1`
     if la == cin and not fa & ~cin:
         left = (v, i - 1, din, dext, cin, cext)
         cy = (cin if dmin == din else 0) | (cext if dext == dmin else 0)
-        if not tree.near(child, eta, INF) & ~cy:
-            yield left, (child, eta, INF, dmin + 1, 0, cy)
-            return
-        for db in range(din + 1, tree.height[child] + 2):
-            masks = _nonempty_submasks(tree.subtree_avail(child, db - 1))
-            if dmin + 2 < db:
-                if tree.near(child, eta, (db - dmin - 1) // 2) & ~cy:
-                    break
-                far = tree.far(child, eta, db - 1, (db - dmin) // 2)
-                for cb in masks:
-                    if not far & ~cb:
-                        yield left, (child, eta, db - 1, dmin + 1, cb, cy)
-            else:
-                for cb in masks:
-                    right = ((child, eta, db - 1, dmin + 1, cb, cy) if dmin + 2 == db
-                             else (child, eta, db - 1, INF, cb, 0))
-                    if _admissible(tree, *right):
-                        yield left, right
+        for right in _side_keys(tree, child, eta, din, dmin + 1, cy):
+            yield left, right
 
 
 def dp_entry(tree: RootedTree, key: tuple, table: DPTable):
     """Minimum chosen vertices inside the prefix for ``key`` (or ``INF``).
 
     Key invariants (see :func:`make_dp_key`) are assumed, not re-checked.
+    The key's color tests (:func:`_admissible`) run here, once, before it
+    is computed; the solver builds only keys that pass them, so
+    :func:`_compute` runs none.
     """
     memo = table.memo
     val = memo.get(key)
     if val is None:
-        val = _compute(tree, key, table)
+        val = _compute(tree, key, table) if _admissible(tree, *key) else INF
         memo[key] = val
     return val
 
 
 def _compute(tree: RootedTree, key: tuple, table: DPTable):
-    v, i, din, dext, cin, cext = key
-    if not _admissible(tree, v, i, din, dext, cin, cext):
-        return INF
+    """Value of a key that passes :func:`_admissible`."""
+    v, i, din, _dext, cin, _cext = key
     if din == INF:
         return 0  # nothing chosen inside, and every prefix color is in cext
     # din must be realizable by colors cin at that exact depth; at din == 0
@@ -569,21 +568,6 @@ def reconstruct_witness(tree: RootedTree, key: tuple, table: DPTable) -> frozens
     return frozenset(acc)
 
 
-def _root_keys(tree: RootedTree):
-    """Top-level keys in scan order: distance ascending, masks descending.
-
-    Keys that fail :func:`_admissible` are infeasible and skipped: the
-    root must see its own color at the overall minimum distance, and the
-    far-side bound applies.
-    """
-    r = tree.root
-    eta = tree.eta(r)
-    for d in range(0, tree.depth_limit(r, eta) + 1):
-        for cp in _nonempty_submasks(tree.avail(r, eta, d)):
-            if _admissible(tree, r, eta, d, INF, cp, 0):
-                yield (r, eta, d, INF, cp, 0)
-
-
 def _solve(g: ColoredGraph, color_cap: int):
     if not g.is_tree:
         raise PreconditionError("graph must be a tree (connected, n-1 edges)")
@@ -595,13 +579,15 @@ def _solve(g: ColoredGraph, color_cap: int):
     try:
         tree = root_tree(g, 1)
         table = DPTable()
+        r = tree.root
+        eta = tree.eta(r)
         # every color present must be chosen somewhere, so a root key worth
         # that many cannot be beaten by a later one
-        floor = tree.near(tree.root, tree.eta(tree.root), INF).bit_count()
+        floor = tree.near(r, eta, INF).bit_count()
         best = INF
         best_key = None
-        for key in _root_keys(tree):
-            val = dp_entry(tree, key, table)
+        for key in _side_keys(tree, r, eta, 0, INF, 0):   # each passes its color tests
+            val = table.memo[key] = _compute(tree, key, table)
             if val < best:
                 best = val
                 best_key = key

@@ -8,8 +8,10 @@ small (n <= 10 or so).
 """
 
 import itertools
+import os
 from collections import deque
 
+import consistent_subset
 from consistent_subset import ColoredGraph, SplitMix64
 
 
@@ -109,6 +111,21 @@ def prefix_vertices(tree, v, i):
     for u in out:
         out.extend(tree.children[u][:i] if u == v else tree.children[u])
     return frozenset(out)
+
+
+# --------------------------------------------------------------------------
+# child interpreters
+
+def child_env():
+    """Environment in which a child interpreter imports the same
+    `consistent_subset` package as this test process, not whatever its
+    inherited `PYTHONPATH` or site-packages would pick."""
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(consistent_subset.__file__))
+    inherited = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = (package_root + os.pathsep + inherited if inherited
+                         else package_root)
+    return env
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import importlib
-import os
 import pathlib
 import shutil
 import subprocess
@@ -12,10 +11,9 @@ except ModuleNotFoundError:  # Python 3.10; pytest depends on tomli there
 
 import pytest
 
-import consistent_subset
 from consistent_subset.cli import main
 
-from helpers import RRBB_TEXT
+from helpers import RRBB_TEXT, child_env
 
 CYCLE_TEXT = "p ccg 3 3 1\nv 1 1\nv 2 1\nv 3 1\ne 1 2\ne 1 3\ne 2 3\n"
 K2_TEXT = "p ccg 2 1 1\nv 1 1\nv 2 1\ne 1 2\n"
@@ -301,6 +299,7 @@ def test_bench_output_file(capsys, tmp_path):
 def test_bench_bad_parameters(capsys):
     assert run(capsys, "bench", "--count", "-1")[0] == 2
     assert run(capsys, "bench", "--max-c", "30")[0] == 2
+    assert run(capsys, "bench", "--max-n", "21")[0] == 2
 
 
 # --------------------------------------------------------------------------
@@ -318,24 +317,12 @@ def test_unknown_subcommand_exits_2(capsys):
     assert exc.value.code == 2
 
 
-def _child_env():
-    """Environment in which a child interpreter imports the same
-    `consistent_subset` package as this test process, not whatever its
-    inherited `PYTHONPATH` or site-packages would pick."""
-    env = dict(os.environ)
-    package_root = os.path.dirname(os.path.dirname(consistent_subset.__file__))
-    inherited = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (package_root + os.pathsep + inherited if inherited
-                         else package_root)
-    return env
-
-
 def test_module_entry_point(tmp_path):
     path = tmp_path / "rrbb.ccg"
     path.write_text(RRBB_TEXT)
     proc = subprocess.run(
         [sys.executable, "-m", "consistent_subset", "solve", str(path)],
-        capture_output=True, text=True, env=_child_env())
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert proc.stdout == "size=2\nwitness=1,3\nalgo=tree-dp\n"
 
@@ -356,6 +343,6 @@ def test_console_script_installed(rrbb_file):
         commands.append([installed])
     for command in commands:
         proc = subprocess.run(command + ["inspect", rrbb_file],
-                              capture_output=True, text=True, env=_child_env())
+                              capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0 and proc.stdout.startswith("n=4\n"), \
             (command, proc.stderr)

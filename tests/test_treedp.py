@@ -9,7 +9,7 @@ from consistent_subset import (ColoredGraph, PreconditionError,
                                solve_tree_mcs, solve_tree_mcs_detailed)
 from consistent_subset.treedp import (INF, DPTable, dp_entry, make_dp_key,
                                       reconstruct_witness, root_tree,
-                                      _admissible, _root_keys)
+                                      _admissible, _side_keys)
 
 from helpers import (RRBB, caterpillar, path_graph, prefix_vertices,
                      ref_adjacency, ref_distances, ref_is_consistent,
@@ -66,12 +66,12 @@ def test_exact_depth_color_masks():
     # from vertex 1 the whole-prefix colors by distance are r, r, b, b
     assert [t.avail(1, 1, d) for d in range(4)] == [RBIT, RBIT, BBIT, BBIT]
     assert t.avail(1, 1, 9) == 0
-    assert t.subtree_avail(3, 1) == BBIT
+    assert t.avail(3, t.eta(3), 1) == BBIT
     # negative depths and radii hold nothing (they must not index from the
     # far end)
     assert t.avail(1, 1, -1) == 0
-    assert t.subtree_avail(3, -1) == 0
-    assert t.subtree_avail(1, -1) == 0
+    assert t.avail(3, t.eta(3), -1) == 0
+    assert t.avail(1, t.eta(1), -1) == 0
     assert [t.near(1, 1, r) for r in (-1, 0, 1, 3, INF)] == [0, 0, RBIT, RBIT | BBIT,
                                                              RBIT | BBIT]
     assert t.near(3, 1, -1) == 0
@@ -217,12 +217,14 @@ def deep_trees(draw, max_n=14):
 @example(star_graph(BLUE, [BLUE] * 8))
 def test_matches_reference_on_deep_trees(g):
     colors = {v: g.color[v] for v in range(1, g.n + 1)}
-    cert, _tree, table = solve_tree_mcs_detailed(g)
+    cert, tree, table = solve_tree_mcs_detailed(g)
     assert cert.size == len(ref_minimum_subset(g.n, colors, g.edges))
     assert len(cert.witness) == cert.size
     assert ref_is_consistent(g.n, colors, g.edges, cert.witness)
-    # every key the solve built is valid and canonical
+    # every key the solve built is valid and canonical, and passes the color
+    # tests that the solver runs only where it generates keys
     assert all(make_dp_key(*key) == key for key in table.memo)
+    assert all(_admissible(tree, *key) for key in table.memo)
 
 
 def test_solve_restores_recursion_limit():
@@ -306,7 +308,9 @@ def test_answer_is_min_over_root_keys():
     for seed in (3, 17, 40):
         g = random_tree(9, 3, seed)
         cert, tree, table = solve_tree_mcs_detailed(g)
-        values = [dp_entry(tree, key, table) for key in _root_keys(tree)]
+        r = tree.root
+        values = [dp_entry(tree, key, table)
+                  for key in _side_keys(tree, r, tree.eta(r), 0, INF, 0)]
         assert min(v for v in values if v != INF) == cert.size
 
 
@@ -418,13 +422,16 @@ def _enumerated_values(g, tree, v, i):
     return out, depth
 
 
-@pytest.mark.parametrize("g", [random_tree(2 + s % 9, 2 + s % 2, 900 + s) for s in range(24)]
-                         # trees whose key values hinge on the split's tie
-                         # and outside-color cases
-                         + [random_tree(10, 2, seed) for seed in (43, 280, 435)]
-                         + [runs_path(8, 2, 1, 4, 1), runs_path(8, 3, 2, 3, 2),
-                            spider(3, 2, 1, 2, 3), caterpillar(4, 2, 2, 3, 4),
-                            path_graph([RED, BLUE] * 4)])
+ENUMERATION_TREES = ([random_tree(2 + s % 9, 2 + s % 2, 900 + s) for s in range(24)]
+                     # trees whose key values hinge on the split's tie and
+                     # outside-color cases
+                     + [random_tree(10, 2, seed) for seed in (43, 280, 435)]
+                     + [runs_path(8, 2, 1, 4, 1), runs_path(8, 3, 2, 3, 2),
+                        spider(3, 2, 1, 2, 3), caterpillar(4, 2, 2, 3, 4),
+                        path_graph([RED, BLUE] * 4)])
+
+
+@pytest.mark.parametrize("g", ENUMERATION_TREES)
 def test_keys_match_enumeration(g):
     # every canonical key is worth what enumerating its prefix's subsets
     # gives, so the color tests reject only INF keys; the near-outside bound
@@ -456,6 +463,37 @@ def test_keys_match_enumeration(g):
     assert rejected > 0
     # (the shallower trees here have no key that the far bound alone decides)
     assert far_only > 0 or tree.height[1] < 3
+
+
+@pytest.mark.parametrize("g", [g for g in ENUMERATION_TREES if g.n <= 10])
+def test_side_keys_match_a_filter(g):
+    # the one key scan yields, from every start distance and under every
+    # outside, the prefix's canonical keys in scan order (distance
+    # ascending, masks descending) that pass the color tests, or the empty
+    # key alone when it passes them
+    tree = root_tree(g, 1)
+    adj = ref_adjacency(g.n, g.edges)
+    masks = range((1 << g.c) - 1, 0, -1)
+    for v in range(1, g.n + 1):
+        dist = ref_distances(adj, v)
+        for i in range(tree.eta(v) + 1):
+            prefix = prefix_vertices(tree, v, i)
+            depth = max(dist[u] for u in prefix)
+            present = [0] * (depth + 1)
+            for u in prefix:
+                present[dist[u]] |= tree.color_bit[u]
+            for dext in list(range(1, depth + 3)) + [INF]:
+                for cext in ([0] if dext == INF else masks):
+                    empty = make_dp_key(v, i, INF, dext, 0, cext)
+                    keys = [make_dp_key(v, i, d, dext, mask, cext)
+                            for d in range(depth + 1) for mask in masks
+                            if not mask & ~present[d]]
+                    for d0 in range(depth + 2):
+                        want = ([empty] if _admissible(tree, *empty) else
+                                [key for key in keys
+                                 if key[2] >= d0 and _admissible(tree, *key)])
+                        got = list(_side_keys(tree, v, i, d0, dext, cext))
+                        assert got == want, (v, i, d0, dext, cext)
 
 
 def _far_rejects(tree, v, i, din, dext, cin, cext):
