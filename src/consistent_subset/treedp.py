@@ -46,7 +46,8 @@ Recursion.  A key is resolved by case analysis:
    because for each subkey the side attaining ``din`` is its inside or a
    nearer part of its outside.  A chosen ``v`` is the split whose left
    part is chosen: the left key keeps ``din == 0`` and the child sees
-   ``color(v)`` at distance 1, nearer than anything beyond ``v``.
+   ``color(v)`` at distance 1, nearer than anything beyond ``v``.  An
+   unchosen one-child vertex has one split; see "One-child runs".
 
 Color sets are int bitmasks (bit ``k`` = color ``k+1``).  All minima are
 taken in a fixed documented order (splits: shared distance first, then
@@ -56,8 +57,8 @@ that order taking the first argmin, so reported witnesses are
 deterministic.
 
 Pruning.  Distance ranges are cut by subtree heights and by the colors
-available at each exact depth.  Four color arguments then drop work
-whose value is known without building it.  None changes a key's value or
+available at each exact depth.  Five arguments then drop work whose
+value is known without building it.  None changes a key's value or
 the first argmin of any scan, so sizes and witnesses are the same as
 with no pruning at all:
 
@@ -96,11 +97,35 @@ with no pruning at all:
 * Color-count floor.  A consistent subset holds a vertex of every color
   present, so the root scan stops at the first key worth that many; it
   keeps the first strict minimum, which no later key could beat.
+* One-child runs.  A vertex ``v`` with one child has only the prefix
+  ``T_1(v)``, and with finite ``din >= 1`` its part ``T_0(v) = {v}``
+  cannot attain ``din``: the key has one split, ``v`` unchosen and the
+  child's key fixed, and is worth that key (``v``'s own test makes the
+  empty left key worth 0).  The same holds at the child while it has one
+  child and a nonzero inside distance, so the solver walks ``j = min(din,
+  one-child steps left in v's run)`` hops down to ``w`` and takes the one
+  key ``(w, eta(w), din - j, dext + j, cin, cext)``, canonicalized
+  (``(INF, 0)`` when ``dext + j > din - j``; the outside only moves away
+  along the walk, so this is the key that hop-by-hop canonicalizing
+  reaches).  The keys in between are never built.  Every vertex of
+  ``T_1(v)`` at depth ``t >= 1`` lies in ``T(w_t)``, the subtree of the
+  walk's vertex ``w_t`` at that depth, so the level at ``din``, its LCA
+  and the exact-depth test are the same for every key of the walk.
+  Hence ``v``'s near-outside bound (depths ``< (din - dext + 1) // 2``)
+  and far-side bound (depths ``>= (din - dext) // 2 + 1`` on the path to
+  that LCA; at ``din == 1`` the exact-depth test) imply every test of
+  every key of the walk but one: where inside and outside tie, ``din -
+  dext`` even and ``m = (din - dext) / 2`` with ``1 <= m <= j``, the
+  vertex ``w_m`` must have a color in ``cin | cext``, else the key is
+  ``INF``.  So the landing key passes the color tests, and values, first
+  argmins and witnesses are unchanged.  Branching vertices, a chosen
+  ``v`` and leaves keep the split recurrence.
 
 The color tests of step 1 run once per key, where the key is generated:
 in ``_side_keys`` for root keys and scanned sides, in ``_subkey_pairs``
 for the fixed sides of a split, and in ``dp_entry`` for a key passed in
-from outside.  The recursion itself starts at step 2.
+from outside; a run's landing key needs only the tie test.  The recursion
+itself starts at step 2.
 """
 
 from __future__ import annotations
@@ -127,10 +152,16 @@ class RootedTree:
     every child prefix, their running unions by depth, and the LCA of each
     such level; and, per vertex, the nearest ancestor-or-self depth of each
     color.  The solver uses those to prune infeasible keys.
+
+    The run index ``run`` holds, for each vertex with exactly one child, a
+    pair ``(path, pos)``: ``path`` is its maximal run of one-child vertices
+    top-down followed by the vertex below the run's last one, and ``pos`` is
+    the vertex's index in it (``None`` for every other vertex).  The solver
+    uses it to resolve a one-child run in one hop.
     """
 
     __slots__ = ("graph", "root", "parent", "children", "height", "color_bit",
-                 "_depth", "_up", "_pref", "_near", "_lca")
+                 "run", "_depth", "_up", "_pref", "_near", "_lca")
 
     def __init__(self, g: ColoredGraph, root: int):
         if not g.is_tree:
@@ -163,6 +194,17 @@ class RootedTree:
         self.color_bit = tuple(0 if v == 0 else 1 << (g.color[v] - 1)
                                for v in range(n + 1))
         self._depth = depth
+        # BFS order meets each run at its top first
+        run: list = [None] * (n + 1)
+        for u in order:
+            if len(children[u]) == 1 and run[u] is None:
+                path = [u]
+                while len(children[path[-1]]) == 1:
+                    path.append(children[path[-1]][0])
+                path = tuple(path)
+                for pos in range(len(path) - 1):
+                    run[path[pos]] = (path, pos)
+        self.run = run
         # per vertex x, from x up to the root: (depth, mask) steps where mask
         # holds the colors whose nearest ancestor-or-self of x lies at that
         # depth or deeper; at most one step per color
@@ -396,17 +438,28 @@ def _side_keys(tree: RootedTree, u: int, j: int, d0: int, dext, cext: int):
     "Empty side"); otherwise it fails them and is not yielded.  Past
     ``dext`` the near-outside bound only tightens as the distance grows, so
     the first distance failing it ends the scan.
+
+    The tests of :func:`_admissible` that do not depend on the mask run once
+    per distance; what remains per mask is that it hold ``need``: the
+    colors of the far-side path and, unless the outside covers it,
+    ``color(u)``.
     """
     if not tree.near(u, j, INF) & ~cext:
         yield (u, j, INF, dext, 0, cext)
         return
+    bit = tree.color_bit[u]
     for d in range(d0, tree.depth_limit(u, j) + 1):
-        if d > dext and tree.near(u, j, (d - dext + 1) // 2) & ~cext:
-            return
+        if d > dext:
+            if tree.near(u, j, (d - dext + 1) // 2) & ~cext:
+                return
+            k, need = (d - dext) // 2 + 1, 0
+        else:
+            k, need = 1, (0 if dext == d and cext & bit else bit)
+        if d >= 2:
+            need |= tree.far(u, j, d, k)
         for mask in _nonempty_submasks(tree.avail(u, j, d)):
-            key = (u, j, d, dext, mask, cext) if dext <= d else (u, j, d, INF, mask, 0)
-            if _admissible(tree, *key):
-                yield key
+            if not need & ~mask:
+                yield (u, j, d, dext, mask, cext) if dext <= d else (u, j, d, INF, mask, 0)
 
 
 def _subkey_pairs(tree: RootedTree, key: tuple):
@@ -489,6 +542,30 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
             yield left, right
 
 
+def _run_landing(tree: RootedTree, key: tuple):
+    """The key that a finite key with ``din >= 1`` of a one-child vertex
+    resolves to (see "One-child runs"), or ``None`` when the run's tie
+    vertex fails its color test and the key is worth ``INF``.
+
+    ``v`` and every vertex between it and ``w`` stay unchosen: the walk goes
+    ``j = min(din, one-child steps left)`` hops down to ``w`` and lands on
+    ``T(w)`` with ``din - j`` inside and ``dext + j`` outside.
+    """
+    v, _i, din, dext, cin, cext = key
+    path, pos = tree.run[v]
+    j = min(din, len(path) - 1 - pos)
+    if dext < din and not (din - dext) & 1:
+        m = (din - dext) // 2        # the vertex that ties inside and outside
+        if m <= j and not tree.color_bit[path[pos + m]] & (cin | cext):
+            return None
+    w = path[pos + j]
+    din -= j
+    dext += j
+    if dext > din:
+        return (w, len(tree.children[w]), din, INF, cin, 0)
+    return (w, len(tree.children[w]), din, dext, cin, cext)
+
+
 def dp_entry(tree: RootedTree, key: tuple, table: DPTable):
     """Minimum chosen vertices inside the prefix for ``key`` (or ``INF``).
 
@@ -517,6 +594,14 @@ def _compute(tree: RootedTree, key: tuple, table: DPTable):
     if i == 0:
         return 1  # only din == 0 is realizable in {v}
     memo = table.memo
+    if din and tree.run[v]:
+        land = _run_landing(tree, key)
+        if land is None:
+            return INF
+        val = memo.get(land)
+        if val is None:
+            val = memo[land] = _compute(tree, land, table)
+        return val
     best = INF
     for left_key, right_key in _subkey_pairs(tree, key):
         left = memo.get(left_key)
@@ -534,12 +619,20 @@ def _compute(tree: RootedTree, key: tuple, table: DPTable):
 
 
 def _collect(tree: RootedTree, key: tuple, table: DPTable, acc: set) -> None:
-    """Re-walk the first argmin of a finite key, adding chosen vertices."""
+    """Re-walk the first argmin of a finite key, adding chosen vertices.
+
+    A key of an unchosen one-child vertex follows the same landing as
+    :func:`_compute`: no vertex above the landing vertex is chosen, so the
+    key's chosen vertices are the landing key's.
+    """
     v, i, din, _dext, _cin, _cext = key
     if din == INF:
         return  # nothing chosen here
     if i == 0:
         acc.add(v)  # din == 0: v alone
+        return
+    if din and tree.run[v]:
+        _collect(tree, _run_landing(tree, key), table, acc)
         return
     target = table.memo[key]
     for left_key, right_key in _subkey_pairs(tree, key):

@@ -151,6 +151,15 @@ def star_graph(center_color, leaf_colors):
                         {i: c for i, c in enumerate(colors, 1)})
 
 
+def broom(handle_colors, bristle_colors):
+    """A path ``1..h`` (the handle) with the bristles as leaves of ``h``."""
+    colors = list(handle_colors) + list(bristle_colors)
+    h = len(handle_colors)
+    edges = [(v, v + 1) for v in range(1, h)] + [(h, v) for v in range(h + 1, len(colors) + 1)]
+    return ColoredGraph(len(colors), max(colors), edges,
+                        {i: c for i, c in enumerate(colors, 1)})
+
+
 def complete_graph(n, color=1):
     return ColoredGraph(n, color, list(itertools.combinations(range(1, n + 1), 2)),
                         {v: color for v in range(1, n + 1)})

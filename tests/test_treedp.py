@@ -11,12 +11,20 @@ from consistent_subset.treedp import (INF, DPTable, dp_entry, make_dp_key,
                                       reconstruct_witness, root_tree,
                                       _admissible, _side_keys)
 
-from helpers import (RRBB, caterpillar, path_graph, prefix_vertices,
+from helpers import (RRBB, broom, caterpillar, path_graph, prefix_vertices,
                      ref_adjacency, ref_distances, ref_is_consistent,
                      ref_minimum_subset, runs_path, spider, star_graph)
 
 RED, BLUE = 1, 2
 RBIT, BBIT = 1, 2
+
+# a spider with centre 3, rooted at the end of one leg: 1 - 2 - 3, then legs
+# 3 - 4 - 6 and 3 - 5 - 7
+SPIDER_EDGES = [(1, 2), (2, 3), (3, 4), (3, 5), (4, 6), (5, 7)]
+# the run 1 - 2 ends at the centre; under a chosen 1, the key of 2 with
+# inside 3 and outside 1 hops onto 3 exactly where inside and outside tie,
+# and the blue 3 sees red alone
+LEG_ROOTED_SPIDER = ColoredGraph(7, 2, SPIDER_EDGES, [RED, RED, BLUE] + [RED] * 4)
 
 
 # --------------------------------------------------------------------------
@@ -215,6 +223,7 @@ def deep_trees(draw, max_n=14):
 @given(deep_trees())
 @example(path_graph([RED] * 12))
 @example(star_graph(BLUE, [BLUE] * 8))
+@example(LEG_ROOTED_SPIDER)
 def test_matches_reference_on_deep_trees(g):
     colors = {v: g.color[v] for v in range(1, g.n + 1)}
     cert, tree, table = solve_tree_mcs_detailed(g)
@@ -292,11 +301,14 @@ def test_one_color_tree_stops_at_the_root(g):
 def test_memo_work_guard():
     # memo keys, not time: before the color pruning the solver built about
     # n^2/2 keys on the alternating path; before the far-side bound it built
-    # 12,769 keys on the runs-path and 1,835 on the caterpillar
+    # 12,769 keys on the runs-path and 1,835 on the caterpillar, and before
+    # one-child runs resolved in one hop 5,579, 1,284 and 339,367 (the long
+    # runs-path).  Each bound leaves about 10% over today's count.
     g = path_graph([RED, BLUE] * 200)
     assert solve_tree_mcs_detailed(g)[2].size <= 8 * g.n
-    for g, most in ((runs_path(80, 2, 15, 30, 11), 12_769 // 2),
-                    (caterpillar(35, 3, 8, 15, 8), 1_834),
+    for g, most in ((runs_path(80, 2, 15, 30, 11), 1_000),
+                    (caterpillar(35, 3, 8, 15, 8), 1_200),
+                    (runs_path(400, 2, 100, 100, 1), 18_000),
                     (random_tree(40, 2, 10), None)):
         _cert, tree, table = solve_tree_mcs_detailed(g)
         assert most is None or table.size <= most
@@ -428,7 +440,11 @@ ENUMERATION_TREES = ([random_tree(2 + s % 9, 2 + s % 2, 900 + s) for s in range(
                      + [random_tree(10, 2, seed) for seed in (43, 280, 435)]
                      + [runs_path(8, 2, 1, 4, 1), runs_path(8, 3, 2, 3, 2),
                         spider(3, 2, 1, 2, 3), caterpillar(4, 2, 2, 3, 4),
-                        path_graph([RED, BLUE] * 4)])
+                        path_graph([RED, BLUE] * 4)]
+                     # handle runs that land on a branching vertex
+                     + [broom([RED, RED, BLUE, BLUE, RED, RED], [BLUE, RED, BLUE]),
+                        broom([RED, BLUE, BLUE, RED, RED, BLUE], [RED, BLUE, RED, BLUE]),
+                        broom([1, 1, 2, 2, 3, 3, 1], [2, 3]), LEG_ROOTED_SPIDER])
 
 
 @pytest.mark.parametrize("g", ENUMERATION_TREES)
@@ -534,7 +550,32 @@ def _naive_lca_row(tree, v, i):
     return row
 
 
-SPIDER_EDGES = [(1, 2), (2, 3), (3, 4), (3, 5), (4, 6), (5, 7)]
+def _naive_run(tree, v):
+    """``v``'s run by a child-by-child walk: up while the parent has one
+    child, then down to the first vertex without exactly one."""
+    top = v
+    while tree.parent[top] and len(tree.children[tree.parent[top]]) == 1:
+        top = tree.parent[top]
+    path = [top]
+    while len(tree.children[path[-1]]) == 1:
+        path.append(tree.children[path[-1]][0])
+    return tuple(path), path.index(v)
+
+
+@pytest.mark.parametrize("g", [runs_path(12, 2, 1, 3, 5), caterpillar(6, 2, 1, 2, 5),
+                               spider(3, 3, 2, 4, 6), random_tree(40, 3, 4),
+                               broom([RED] * 5, [BLUE] * 3), path_graph([RED])])
+def test_run_index_matches_a_naive_walk(g):
+    # rooted at vertex 1 and, for a second rooting with its own runs, at the
+    # middle id
+    for root in (1, (g.n + 1) // 2):
+        tree = root_tree(g, root)
+        for v in range(1, g.n + 1):
+            if len(tree.children[v]) == 1:
+                assert tree.run[v] == _naive_run(tree, v), (root, v)
+            else:
+                assert tree.run[v] is None, (root, v)
+
 
 
 @pytest.mark.parametrize("g", [runs_path(12, 2, 1, 3, 5), caterpillar(6, 2, 1, 2, 5),
@@ -547,8 +588,7 @@ def test_lca_rows_match_a_naive_climb(g):
 
 
 def test_far_side_bound_on_a_branching_level():
-    # a spider with centre 3, rooted at the end of one leg: 1 - 2 - 3, then
-    # legs 3 - 4 - 6 and 3 - 5 - 7.  Both legs reach levels 3 and 4 of T(1),
+    # on the spider of SPIDER_EDGES both legs reach levels 3 and 4 of T(1),
     # so their LCA is 3, above those levels and not on a path
     g = ColoredGraph(7, 2, SPIDER_EDGES, [RED, BLUE, BLUE, RED, RED, RED, RED])
     tree = root_tree(g, 1)
