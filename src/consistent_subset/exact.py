@@ -3,11 +3,21 @@
 Minimum (strict) consistent subsets are found by enumerating candidate
 subsets in increasing cardinality and, within one cardinality, in
 lexicographic order of the sorted vertex tuple; the first subset that
-passes the checker is returned.  Two sound prunes keep the search small
-without changing the reported optimum or witness: a consistent subset must
-contain a vertex of every nonempty color class, and a strict consistent
-subset must meet every block.  Subsets failing the applicable test never
-pass the checker and are skipped.
+passes the consistency test is returned.  Two sound prunes keep the search
+small without changing the reported optimum or witness: a consistent subset
+must contain a vertex of every nonempty color class, and a strict
+consistent subset must meet every block.  Subsets failing the applicable
+test never pass and are skipped.
+
+A subset is a bitmask over vertex ids, and the test reads tables built once
+per solve with one BFS per vertex (O(n^2) bits, affordable under the
+enumeration cap): each vertex's distance layers as vertex masks, and the
+mask of its own color class.  A vertex's nearest members are the first
+layer that meets the subset, so the subset is consistent when, for every
+vertex, that layer meets its own class, and strict consistent when it lies
+inside it.  The witness is checked once more with the graph module's BFS
+checker before it is returned, and a disagreement raises
+``AssertionError``.
 
 The module also carries tiny enumeration oracles for minimum dominating
 set, vertex cover, and set cover, which the instance generators and their
@@ -26,6 +36,19 @@ from .graph import (Certificate, ColoredGraph, PreconditionError,
 DEFAULT_VERTEX_CAP = 20
 
 
+def _layers_pass(table, chosen: int, strict: bool) -> bool:
+    """Does the subset with vertex mask ``chosen`` pass at every vertex?
+    ``table`` holds one ``(layers, own)`` pair per vertex."""
+    for layers, own in table:
+        for layer in layers:
+            hit = layer & chosen
+            if hit:
+                break
+        if hit & ~own if strict else not hit & own:
+            return False
+    return True
+
+
 def _minimum_certificate(g: ColoredGraph, variant: str, cap: int) -> Certificate:
     if g.n > cap:
         raise PreconditionError(
@@ -33,29 +56,33 @@ def _minimum_certificate(g: ColoredGraph, variant: str, cap: int) -> Certificate
     if not g.is_connected:
         raise PreconditionError("graph must be connected")
     strict = variant == "mscs"
-    if strict:
-        part = blocks(g)
-        group_of = part.block_of
-        ngroups = len(part)
-    else:
-        present = sorted({g.color[v] for v in range(1, g.n + 1)})
-        index = {col: i for i, col in enumerate(present)}
-        group_of = {v: index[g.color[v]] for v in range(1, g.n + 1)}
-        ngroups = len(present)
-    group_bit = [0] * (g.n + 1)
-    for v in range(1, g.n + 1):
-        group_bit[v] = 1 << group_of[v]
-    full = (1 << ngroups) - 1
     vertices = range(1, g.n + 1)
-    for k in range(max(1, ngroups), g.n + 1):
-        for combo in itertools.combinations(vertices, k):
-            mask = 0
-            for v in combo:
-                mask |= group_bit[v]
-            if mask != full:
-                continue
-            if _consistency_scan(g, combo, strict):
-                return Certificate(variant, combo, k, "brute-force-optimal")
+    classes: dict[int, int] = {}
+    for v in vertices:
+        classes[g.color[v]] = classes.get(g.color[v], 0) | 1 << v
+    groups = ([sum(1 << v for v in part) for part in blocks(g).partition]
+              if strict else list(classes.values()))
+    table = []
+    for v in vertices:
+        row = g.hops_from(v)
+        layers = [0] * (max(row[1:]) + 1)
+        for u in vertices:
+            layers[row[u]] |= 1 << u
+        table.append((layers, classes[g.color[v]]))
+    # combinations of ascending bits come in the order of vertex tuples
+    for k in range(max(1, len(groups)), g.n + 1):
+        for combo in itertools.combinations([1 << v for v in vertices], k):
+            chosen = sum(combo)
+            for group in groups:
+                if not chosen & group:
+                    break
+            else:
+                if _layers_pass(table, chosen, strict):
+                    witness = tuple(v for v in vertices if chosen >> v & 1)
+                    if not _consistency_scan(g, witness, strict):
+                        raise AssertionError(
+                            f"layer-mask test and checker disagree on {witness}")
+                    return Certificate(variant, witness, k, "brute-force-optimal")
     raise AssertionError("unreachable: the full vertex set is always consistent")
 
 
