@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 import time
 
@@ -185,7 +186,9 @@ def _cmd_inspect(args) -> int:
 # --------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; ``parse_args`` never changes it."""
     parser = argparse.ArgumentParser(
         prog="consist",
         description="Exact solvers for consistent subsets of vertex-colored graphs.")

@@ -17,6 +17,9 @@ what :func:`blocks` computes.
 Both checkers run one multi-source BFS from ``S`` that carries, per
 vertex, the set of colors among its nearest members: O(n + m) time and
 linear memory per call.  No distances are cached on the graph.
+:func:`parse_graph` builds the sorted adjacency in its one pass over the
+file and hands it to the graph, so a parsed graph never walks its edges
+again to find neighbors.
 
 Two line-oriented ASCII file formats are handled here (see the README for
 the full grammar):
@@ -35,7 +38,7 @@ input, empty subsets, enumeration caps...) raise :class:`PreconditionError`.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -59,9 +62,11 @@ class ColoredGraph:
 
     ``color`` is a tuple indexed by vertex id (index 0 is padding), each
     entry in ``1..c``.  Edges are stored as a frozenset of ``(u, w)`` pairs
-    with ``u < w``.  Adjacency and connectivity are computed lazily and
-    cached; hop distances are not (:meth:`hops_from` runs a fresh BFS).
-    The identity fields never change after construction.
+    with ``u < w``.  The sorted adjacency comes from :func:`parse_graph`
+    for a parsed graph and is otherwise computed on first use; connectivity
+    is computed on first use.  Both are cached; hop distances are not
+    (:meth:`hops_from` runs a fresh BFS).  The identity fields never change
+    after construction.
     """
 
     __slots__ = ("n", "c", "edges", "color",
@@ -81,9 +86,9 @@ class ColoredGraph:
                 raise ValueError(f"self-loop at vertex {u}")
             normalized.add((u, w) if u < w else (w, u))
         if isinstance(color, Mapping):
-            missing = [v for v in range(1, n + 1) if v not in color]
-            if missing:
-                raise ValueError(f"missing color for vertex {missing[0]}")
+            missing = next((v for v in range(1, n + 1) if v not in color), None)
+            if missing is not None:
+                raise ValueError(f"missing color for vertex {missing}")
             seq = [color[v] for v in range(1, n + 1)]
         else:
             seq = list(color)
@@ -98,6 +103,21 @@ class ColoredGraph:
         self.color = (0, *seq)
         self._adj = None
         self._connected = None
+
+    @classmethod
+    def _from_parts(cls, n: int, c: int, edges: frozenset, color: tuple,
+                    adj: tuple) -> "ColoredGraph":
+        """Unchecked constructor for :func:`parse_graph`, which has already
+        validated every field: ``edges`` normalised, ``color`` padded at
+        index 0, ``adj`` the sorted neighbor tuples of ``edges``."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.c = c
+        g.edges = edges
+        g.color = color
+        g._adj = adj
+        g._connected = None
+        return g
 
     @property
     def m(self) -> int:
@@ -139,9 +159,16 @@ class ColoredGraph:
     @property
     def is_connected(self) -> bool:
         if self._connected is None:
-            row = self.hops_from(1)
-            self._connected = all(row[v] != UNREACHABLE
-                                  for v in range(1, self.n + 1))
+            adj = self.adjacency
+            seen = bytearray(self.n + 1)
+            seen[1] = 1
+            order = [1]
+            for u in order:
+                for w in adj[u]:
+                    if not seen[w]:
+                        seen[w] = 1
+                        order.append(w)
+            self._connected = len(order) == self.n
         return self._connected
 
     @property
@@ -308,13 +335,20 @@ class Certificate:
 
 
 def parse_graph(text: str) -> ColoredGraph:
-    """Parse a CCG instance; raises :class:`ParseError` with line numbers."""
+    """Parse a CCG instance; raises :class:`ParseError` with line numbers.
+
+    One pass over the lines validates them and builds the colors, the edge
+    set and the adjacency lists together.
+    """
     header = None
     n = m = c = 0
-    colors: dict[int, int] = {}
+    colors: list | defaultdict = []
+    adj: list | defaultdict = []
+    colored = 0
     edges: set[tuple[int, int]] = set()
+    lines = text.splitlines()
     last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         last_line = lineno
         parts = raw.split()
         if not parts or parts[0] == "c":
@@ -331,6 +365,15 @@ def parse_graph(text: str) -> ColoredGraph:
             if n < 1 or m < 0 or c < 1:
                 raise ParseError(lineno, f"malformed header counts n={n} m={m} colors={c}")
             header = lineno
+            # A valid file has a color line per vertex, so a header claiming
+            # at least as many vertices as the file has lines is already
+            # wrong: it gets sparse maps, never n-sized lists.
+            if n < len(lines):
+                colors = [0] * (n + 1)
+                adj = [[] for _ in range(n + 1)]
+            else:
+                colors = defaultdict(int)
+                adj = defaultdict(list)
             continue
         if kind == "p":
             raise ParseError(lineno, "duplicate header")
@@ -345,9 +388,10 @@ def parse_graph(text: str) -> ColoredGraph:
                 raise ParseError(lineno, f"vertex id {vid} out of range 1..{n}")
             if not (1 <= col <= c):
                 raise ParseError(lineno, f"color id {col} out of range 1..{c}")
-            if vid in colors:
+            if colors[vid]:
                 raise ParseError(lineno, f"duplicate color line for vertex {vid}")
             colors[vid] = col
+            colored += 1
         elif kind == "e":
             if len(parts) != 3:
                 raise ParseError(lineno, "edge line must be 'e <u> <w>'")
@@ -365,16 +409,24 @@ def parse_graph(text: str) -> ColoredGraph:
             if len(edges) == m:
                 raise ParseError(lineno, f"more than {m} edge lines")
             edges.add(key)
+            adj[u].append(w)
+            adj[w].append(u)
         else:
             raise ParseError(lineno, f"unrecognized line type {kind!r}")
+    del lines               # free the line strings before the tuples are built
     if header is None:
         raise ParseError(max(1, last_line), "missing 'p ccg' header")
-    if len(colors) != n:
-        missing = next(v for v in range(1, n + 1) if v not in colors)
+    if colored != n:
+        missing = next(v for v in range(1, n + 1) if not colors[v])
         raise ParseError(last_line, f"missing color line for vertex {missing}")
     if len(edges) != m:
         raise ParseError(last_line, f"expected {m} edge lines, found {len(edges)}")
-    return ColoredGraph(n, c, edges, colors)
+    # n color lines fit in the file, so both are the n-sized lists here
+    for nbrs in adj:
+        if len(nbrs) > 1:
+            nbrs.sort()
+    return ColoredGraph._from_parts(n, c, frozenset(edges), tuple(colors),
+                                    tuple(map(tuple, adj)))
 
 
 def format_graph(g: ColoredGraph) -> str:

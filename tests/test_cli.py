@@ -11,6 +11,7 @@ except ModuleNotFoundError:  # Python 3.10; pytest depends on tomli there
 
 import pytest
 
+from consistent_subset import cli, exact
 from consistent_subset.cli import main
 
 from helpers import RRBB_TEXT, child_env
@@ -152,6 +153,16 @@ def test_verify_subset_parse_error(capsys, rrbb_file, tmp_path):
     sub.write_text("s 3 1\n")
     code, _, err = run(capsys, "verify", rrbb_file, str(sub))
     assert code == 2 and "strictly increasing" in err
+
+
+def test_verify_huge_header_fails_at_once(capsys, tmp_path):
+    path = tmp_path / "huge.ccg"
+    path.write_text("p ccg 1000000000000 0 1\n")
+    sub = tmp_path / "s.sub"
+    sub.write_text("s 1\n")
+    code, out, err = run(capsys, "verify", str(path), str(sub))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: line 1: missing color line for vertex 1\n"
 
 
 # --------------------------------------------------------------------------
@@ -315,6 +326,56 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_parser_is_reused_without_state(capsys, rrbb_file, tmp_path):
+    sub = tmp_path / "s.sub"
+    sub.write_text("s 1 3\n")
+    calls = [("verify", rrbb_file),                    # usage error: no subset
+             ("verify", rrbb_file, str(sub)),
+             ("verify", rrbb_file, str(sub), "--variant", "mscs"),
+             ("verify", rrbb_file, str(sub))]
+
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        return code, *capsys.readouterr()
+
+    assert cli._build_parser() is cli._build_parser()
+    in_sequence = [outcome(argv) for argv in calls]
+    separate = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        separate.append(outcome(argv))
+    assert in_sequence == separate
+    assert [result[0] for result in in_sequence] == [("exit", 2), 0, 1, 0]
+    assert in_sequence[3][1] == "consistent=true\nstrict=false\n"
+
+
+def test_benchmark_hooks_are_module_globals(capsys, rrbb_file, tmp_path,
+                                            monkeypatch):
+    # perfbench/spans.py times the library by swapping these module
+    # attributes; the commands must keep reaching the layers through them.
+    hooks = [(cli, "parse_graph"), (cli, "is_consistent"),
+             (cli, "is_strict_consistent"), (exact, "_consistency_scan")]
+    hits = {}
+    for module, name in hooks:
+        label = f"{module.__name__}.{name}"
+        assert hasattr(module, name), f"{label} is gone; perfbench wraps it"
+        hits[label] = 0
+
+        def counted(*args, _fn=getattr(module, name), _label=label, **kwargs):
+            hits[_label] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    sub = tmp_path / "s.sub"
+    sub.write_text("s 2 3\n")
+    assert run(capsys, "verify", rrbb_file, str(sub))[0] == 0
+    assert run(capsys, "solve", rrbb_file, "--algo", "brute")[0] == 0
+    missed = [label for label, count in hits.items() if count == 0]
+    assert not missed, f"not reached through the module global: {missed}"
 
 
 def test_module_entry_point(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -35,8 +36,8 @@ def test_graph_rejects_bad_input():
         ColoredGraph(2, 1, [(1, 3)], {1: 1, 2: 1})       # endpoint range
     with pytest.raises(ValueError):
         ColoredGraph(2, 1, [], {1: 1, 2: 2})             # color range
-    with pytest.raises(ValueError):
-        ColoredGraph(2, 1, [], {1: 1})                   # missing color
+    with pytest.raises(ValueError, match="^missing color for vertex 2$"):
+        ColoredGraph(2, 1, [], {1: 1})
 
 
 def test_graph_equality_and_hash():
@@ -64,47 +65,104 @@ def test_parse_golden():
 
 
 def test_parse_allows_comments_and_blank_lines():
-    text = ("c a remark\n\np ccg 2 1 2\nc mid\nv 1 1\nv 2 2\n\ne 1 2\nc end\n")
+    # a comment or blank line between every pair of line kinds
+    text = ("c a remark\n\np ccg 3 2 2\nc mid\nv 1 1\nc v-v\nv 2 2\n\n"
+            "e 1 2\nc e-e\ne 2 3\nc e-v\nv 3 2\nc end\n")
     g = parse_graph(text)
-    assert (g.n, g.m, g.c) == (2, 1, 2)
+    assert g == ColoredGraph(3, 2, [(1, 2), (2, 3)], {1: 1, 2: 2, 3: 2})
+    assert g.adjacency == ((), (2,), (1, 3), (2,))
 
 
 def test_parse_accepts_any_line_order_after_header():
     text = "p ccg 2 1 1\ne 1 2\nv 2 1\nv 1 1\n"
     assert parse_graph(text) == parse_graph("p ccg 2 1 1\nv 1 1\nv 2 1\ne 1 2\n")
+    # every edge line before the first color line
+    ordered = parse_graph(RRBB_TEXT)
+    edges_first = "p ccg 4 3 2\ne 4 3\ne 2 1\ne 3 2\nv 3 2\nv 1 1\nv 4 2\nv 2 1\n"
+    g = parse_graph(edges_first)
+    assert g == ordered
+    assert g.adjacency == ordered.adjacency
 
 
-@pytest.mark.parametrize("text, line, fragment", [
-    ("", 1, "missing 'p ccg' header"),
-    ("c only a comment\n", 1, "missing 'p ccg' header"),
-    ("v 1 1\n", 1, "expected header"),
-    ("p ccg 1 0\n", 1, "expected header"),
-    ("p ccg x 0 1\n", 1, "integers"),
-    ("p ccg 0 0 1\n", 1, "malformed header counts"),
-    ("p ccg 1 0 0\n", 1, "malformed header counts"),
-    ("p ccg 1 0 1\np ccg 1 0 1\nv 1 1\n", 2, "duplicate header"),
-    ("p ccg 1 0 1\nv 1\n", 2, "color line must be"),
-    ("p ccg 1 0 1\nv 1 z\n", 2, "integers"),
-    ("p ccg 1 0 1\nv 2 1\n", 2, "vertex id 2 out of range"),
-    ("p ccg 1 0 1\nv 1 2\n", 2, "color id 2 out of range"),
-    ("p ccg 2 1 1\nv 1 1\nv 1 1\n", 3, "duplicate color line"),
-    ("p ccg 2 1 1\nv 1 1\nv 2 1\ne 1\n", 4, "edge line must be"),
-    ("p ccg 2 1 1\nv 1 1\nv 2 1\ne 1 z\n", 4, "integers"),
-    ("p ccg 2 1 1\nv 1 1\nv 2 1\ne 1 3\n", 4, "out of range"),
-    ("p ccg 2 1 1\nv 1 1\nv 2 1\ne 1 1\n", 4, "self-loop"),
-    ("p ccg 2 2 1\nv 1 1\nv 2 1\ne 1 2\ne 2 1\n", 5, "duplicate edge"),
-    ("p ccg 2 1 1\nv 1 1\nv 2 1\ne 1 2\ne 1 2\n", 5, "duplicate edge"),
-    ("p ccg 2 0 1\nv 1 1\nv 2 1\ne 1 2\n", 4, "more than 0 edge lines"),
-    ("p ccg 2 1 1\nv 1 1\nv 2 1\nq 1 2\n", 4, "unrecognized line type"),
-    ("p ccg 2 1 1\nv 1 1\ne 1 2\n", 3, "missing color line for vertex 2"),
-    ("p ccg 2 2 1\nv 1 1\nv 2 1\ne 1 2\n", 4, "expected 2 edge lines, found 1"),
+def _error_case(text, line, name, message):
+    """A parse-error case; ``name`` is the short tag its test id keeps."""
+    return pytest.param(text, line, message, id=f"{text}-{line}-{name}")
+
+
+@pytest.mark.parametrize("text, line, message", [
+    _error_case("", 1, "missing 'p ccg' header", "missing 'p ccg' header"),
+    _error_case("c only a comment\n", 1, "missing 'p ccg' header",
+                "missing 'p ccg' header"),
+    _error_case("v 1 1\n", 1, "expected header",
+                "expected header 'p ccg <n> <m> <colors>'"),
+    _error_case("e 1 2\np ccg 2 1 1\nv 1 1\nv 2 1\n", 1, "expected header",
+                "expected header 'p ccg <n> <m> <colors>'"),
+    _error_case("p ccg 1 0\n", 1, "expected header",
+                "expected header 'p ccg <n> <m> <colors>'"),
+    _error_case("p ccg x 0 1\n", 1, "integers", "header fields must be integers"),
+    _error_case("p ccg 0 0 1\n", 1, "malformed header counts",
+                "malformed header counts n=0 m=0 colors=1"),
+    _error_case("p ccg 1 0 0\n", 1, "malformed header counts",
+                "malformed header counts n=1 m=0 colors=0"),
+    _error_case("p ccg 1 0 1\np ccg 1 0 1\nv 1 1\n", 2, "duplicate header",
+                "duplicate header"),
+    _error_case("p ccg 1 0 1\nv 1\n", 2, "color line must be",
+                "color line must be 'v <id> <color>'"),
+    _error_case("p ccg 1 0 1\nv 1 z\n", 2, "integers",
+                "color line fields must be integers"),
+    _error_case("p ccg 1 0 1\nv 2 1\n", 2, "vertex id 2 out of range",
+                "vertex id 2 out of range 1..1"),
+    _error_case("p ccg 1 0 1\nv 1 2\n", 2, "color id 2 out of range",
+                "color id 2 out of range 1..1"),
+    _error_case("p ccg 2 1 1\nv 1 1\nv 1 1\n", 3, "duplicate color line",
+                "duplicate color line for vertex 1"),
+    _error_case("p ccg 2 1 1\nv 1 1\nv 2 1\ne 1\n", 4, "edge line must be",
+                "edge line must be 'e <u> <w>'"),
+    _error_case("p ccg 2 1 1\nv 1 1\nv 2 1\ne 1 z\n", 4, "integers",
+                "edge line fields must be integers"),
+    _error_case("p ccg 2 1 1\nv 1 1\nv 2 1\ne 1 3\n", 4, "out of range",
+                "vertex id out of range 1..2 in edge (1,3)"),
+    _error_case("p ccg 2 1 1\nv 1 1\nv 2 1\ne 1 1\n", 4, "self-loop",
+                "self-loop at vertex 1"),
+    _error_case("p ccg 2 2 1\nv 1 1\nv 2 1\ne 1 2\ne 2 1\n", 5, "duplicate edge",
+                "duplicate edge (1,2)"),
+    _error_case("p ccg 2 1 1\nv 1 1\nv 2 1\ne 1 2\ne 1 2\n", 5, "duplicate edge",
+                "duplicate edge (1,2)"),
+    _error_case("p ccg 2 0 1\nv 1 1\nv 2 1\ne 1 2\n", 4, "more than 0 edge lines",
+                "more than 0 edge lines"),
+    _error_case("p ccg 3 1 1\ne 1 2\ne 2 3\nv 1 1\n", 3, "more than 1 edge lines",
+                "more than 1 edge lines"),
+    _error_case("p ccg 2 1 1\nv 1 1\nv 2 1\nq 1 2\n", 4, "unrecognized line type",
+                "unrecognized line type 'q'"),
+    _error_case("p ccg 2 1 1\nv 1 1\ne 1 2\n", 3, "missing color line for vertex 2",
+                "missing color line for vertex 2"),
+    _error_case("c a\np ccg 3 2 1\nc b\ne 2 3\nc c\ne 1 2\nc d\nv 1 1\nc e\n"
+                "v 3 1\nc f\n", 11, "missing color line for vertex 2",
+                "missing color line for vertex 2"),
+    _error_case("p ccg 1000000000000 0 1\n", 1, "missing color line for vertex 1",
+                "missing color line for vertex 1"),
+    _error_case("p ccg 2 2 1\nv 1 1\nv 2 1\ne 1 2\n", 4,
+                "expected 2 edge lines, found 1", "expected 2 edge lines, found 1"),
 ])
-def test_parse_errors(text, line, fragment):
+def test_parse_errors(text, line, message):
     with pytest.raises(ParseError) as exc:
         parse_graph(text)
     assert exc.value.line == line
-    assert fragment in str(exc.value)
-    assert f"line {line}:" in str(exc.value)
+    assert str(exc.value) == f"line {line}: {message}"
+
+
+def test_huge_header_allocates_nothing_per_vertex():
+    # A header alone must not size anything by n: the parser fails on the
+    # first missing color line, not after building a million empty slots.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as exc:
+            parse_graph("p ccg 1000000 0 1\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "line 1: missing color line for vertex 1"
+    assert peak < 2_000_000, f"parsing a bare header peaked at {peak} bytes"
 
 
 def test_format_is_canonical():
@@ -131,9 +189,32 @@ def connected_graphs(draw):
     return ColoredGraph(n, c, edges, colors)
 
 
-@given(connected_graphs())
-def test_round_trip_any_graph(g):
-    assert parse_graph(format_graph(g)) == g
+@st.composite
+def any_graphs(draw):
+    """Graphs with independently drawn edges: trees, cycles, disconnected."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    c = draw(st.integers(min_value=1, max_value=3))
+    colors = {v: draw(st.integers(min_value=1, max_value=c))
+              for v in range(1, n + 1)}
+    edges = {(u, w) for u in range(1, n + 1) for w in range(u + 1, n + 1)
+             if draw(st.booleans())}
+    return ColoredGraph(n, c, edges, colors)
+
+
+@given(st.one_of(connected_graphs(), any_graphs()), st.data())
+def test_round_trip_any_graph(g, data):
+    text = format_graph(g)
+    header, *body = text.splitlines()
+    body = [f"e {line.split()[2]} {line.split()[1]}" if line.startswith("e ")
+            and data.draw(st.booleans()) else line for line in body]
+    shuffled = "\n".join([header, *data.draw(st.permutations(body))]) + "\n"
+    reachable = all(d != UNREACHABLE for d in g.hops_from(1)[1:])
+    for parsed in (parse_graph(text), parse_graph(shuffled)):
+        assert parsed == g
+        assert hash(parsed) == hash(g)
+        assert parsed.adjacency == g.adjacency
+        assert parsed.is_connected == g.is_connected == reachable
+        assert parsed.is_tree == g.is_tree
 
 
 # --------------------------------------------------------------------------
