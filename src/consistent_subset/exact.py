@@ -3,21 +3,44 @@
 Minimum (strict) consistent subsets are found by enumerating candidate
 subsets in increasing cardinality and, within one cardinality, in
 lexicographic order of the sorted vertex tuple; the first subset that
-passes the consistency test is returned.  Two sound prunes keep the search
-small without changing the reported optimum or witness: a consistent subset
-must contain a vertex of every nonempty color class, and a strict
-consistent subset must meet every block.  Subsets failing the applicable
-test never pass and are skipped.
+passes the consistency test is returned.
 
 A subset is a bitmask over vertex ids, and the test reads tables built once
-per solve with one BFS per vertex (O(n^2) bits, affordable under the
-enumeration cap): each vertex's distance layers as vertex masks, and the
-mask of its own color class.  A vertex's nearest members are the first
-layer that meets the subset, so the subset is consistent when, for every
-vertex, that layer meets its own class, and strict consistent when it lies
-inside it.  The witness is checked once more with the graph module's BFS
-checker before it is returned, and a disagreement raises
-``AssertionError``.
+per solve with one BFS per vertex (at most n masks of n + 1 bits per
+vertex, affordable under the enumeration cap): each vertex's distance
+layers as vertex masks, and the mask of its own color class.  A vertex's
+nearest members are the first layer that meets the subset, so the subset
+is consistent when, for every vertex, that layer meets its own class, and
+strict consistent when it lies inside it.
+
+One cardinality is enumerated by a depth-first walk over ascending vertex
+tuples.  The walk keeps an explicit stack with one ``(next vertex, prefix
+mask)`` frame per pick, so it never recurses.  A prefix ``chosen`` whose
+last pick is ``v`` can only be completed by a set ``T`` of vertices after
+``v``, the mask ``future``; the prefix is dropped, with every completion,
+as soon as no completion can pass.  Since only tuples that cannot pass are
+skipped, the first passing tuple, the optimum and the witness are those of
+plain enumeration.  Two tests drop prefixes:
+
+- Groups.  A consistent subset contains a vertex of every nonempty color
+  class, and a strict consistent subset meets every block.  These groups
+  are disjoint, so every group the prefix misses must meet ``future``, and
+  the missed groups may not outnumber the picks left.
+- Layers.  In ``S = chosen | T`` a vertex's nearest layer lies at or
+  before the first layer meeting ``chosen``, and any member of ``S`` nearer
+  than that layer comes from ``T``.  So each vertex's scan stops at the
+  first layer that meets ``chosen`` or an own-color vertex of ``future``.
+  No layer before the stop holds an own-color vertex of ``future``, so
+  those layers offer ``T`` only other-color vertices.  Under MCS the
+  vertex fails for every ``T`` when the stopping layer holds no own-color
+  vertex of ``chosen`` or ``future``; under MSCS it fails when that layer
+  holds an other-color vertex of ``chosen``.  Either way the nearest layer
+  of ``S`` is an earlier one, met by other-color vertices of ``T`` only, or
+  the stopping layer itself.  With ``future`` empty this is the exact test
+  of the subset ``chosen``, so one test serves prefixes and full tuples.
+
+The witness is checked once more with the graph module's BFS checker
+before it is returned, and a disagreement raises ``AssertionError``.
 
 The module also carries tiny enumeration oracles for minimum dominating
 set, vertex cover, and set cover, which the instance generators and their
@@ -36,17 +59,38 @@ from .graph import (Certificate, ColoredGraph, PreconditionError,
 DEFAULT_VERTEX_CAP = 20
 
 
-def _layers_pass(table, chosen: int, strict: bool) -> bool:
-    """Does the subset with vertex mask ``chosen`` pass at every vertex?
-    ``table`` holds one ``(layers, own)`` pair per vertex."""
+def _layers_pass(table, chosen: int, strict: bool, future: int) -> bool:
+    """Can ``chosen | T`` pass at every vertex for some ``T`` within vertex
+    mask ``future``?  ``table`` holds one ``(layers, own)`` pair per vertex.
+
+    False proves that no such ``T`` exists (see the module docstring); True
+    promises nothing unless ``future == 0``, where the test is exact: does
+    the subset ``chosen`` itself pass."""
     for layers, own in table:
         for layer in layers:
             hit = layer & chosen
-            if hit:
+            if hit or layer & own & future:
                 break
-        if hit & ~own if strict else not hit & own:
+        if hit & ~own if strict else not (hit | layer & future) & own:
             return False
     return True
+
+
+def _layer_table(g: ColoredGraph) -> list:
+    """One ``(layers, own)`` pair per vertex: its distance layers and its
+    color class, as vertex masks."""
+    vertices = range(1, g.n + 1)
+    classes: dict[int, int] = {}
+    for v in vertices:
+        classes[g.color[v]] = classes.get(g.color[v], 0) | 1 << v
+    table = []
+    for v in vertices:
+        row = g.hops_from(v)
+        layers = [0] * (max(row[1:]) + 1)
+        for u in vertices:
+            layers[row[u]] |= 1 << u
+        table.append((layers, classes[g.color[v]]))
+    return table
 
 
 def _minimum_certificate(g: ColoredGraph, variant: str, cap: int) -> Certificate:
@@ -57,32 +101,36 @@ def _minimum_certificate(g: ColoredGraph, variant: str, cap: int) -> Certificate
         raise PreconditionError("graph must be connected")
     strict = variant == "mscs"
     vertices = range(1, g.n + 1)
-    classes: dict[int, int] = {}
-    for v in vertices:
-        classes[g.color[v]] = classes.get(g.color[v], 0) | 1 << v
+    table = _layer_table(g)
+    # the color classes are the distinct own-class masks
     groups = ([sum(1 << v for v in part) for part in blocks(g).partition]
-              if strict else list(classes.values()))
-    table = []
-    for v in vertices:
-        row = g.hops_from(v)
-        layers = [0] * (max(row[1:]) + 1)
-        for u in vertices:
-            layers[row[u]] |= 1 << u
-        table.append((layers, classes[g.color[v]]))
-    # combinations of ascending bits come in the order of vertex tuples
+              if strict else list({own for _layers, own in table}))
+    full = (2 << g.n) - 2
     for k in range(max(1, len(groups)), g.n + 1):
-        for combo in itertools.combinations([1 << v for v in vertices], k):
-            chosen = sum(combo)
-            for group in groups:
-                if not chosen & group:
-                    break
-            else:
-                if _layers_pass(table, chosen, strict):
-                    witness = tuple(v for v in vertices if chosen >> v & 1)
-                    if not _consistency_scan(g, witness, strict):
-                        raise AssertionError(
-                            f"layer-mask test and checker disagree on {witness}")
-                    return Certificate(variant, witness, k, "brute-force-optimal")
+        # one (next vertex, prefix mask) frame per pick; ascending tuples
+        # come off the stack in the order of vertex tuples
+        stack = [(1, 0)]
+        while stack:
+            v, prefix = stack.pop()
+            left = k - len(stack) - 1  # picks still to make after v
+            if v > g.n - left:
+                continue
+            stack.append((v + 1, prefix))
+            chosen = prefix | 1 << v
+            future = full & -(2 << v) if left else 0
+            missed = [group for group in groups if not group & chosen]
+            if len(missed) > left or any(not group & future for group in missed):
+                continue
+            if not _layers_pass(table, chosen, strict, future):
+                continue
+            if left:
+                stack.append((v + 1, chosen))
+                continue
+            witness = tuple(u for u in vertices if chosen >> u & 1)
+            if not _consistency_scan(g, witness, strict):
+                raise AssertionError(
+                    f"layer-mask test and checker disagree on {witness}")
+            return Certificate(variant, witness, k, "brute-force-optimal")
     raise AssertionError("unreachable: the full vertex set is always consistent")
 
 

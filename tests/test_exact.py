@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -121,6 +122,107 @@ def test_brute_witness_goldens(build, args, mcs, mscs):
     for solver, witness in ((brute_force_mcs, mcs), (brute_force_mscs, mscs)):
         cert = solver(g)
         assert (cert.size, cert.witness) == (len(witness), witness)
+
+
+# the same at the default cap, pinned before the depth-first walk replaced
+# plain enumeration of every k-subset
+BRUTE_CAP_GOLDENS = [
+    (path_graph, ([1, 2] * 10,), "mcs", tuple(range(1, 21))),
+    (random_tree, (20, 4, 1), "mcs",
+     (1, 2, 3, 4, 5, 7, 8, 9, 10, 12, 13, 15, 17, 18, 19, 20)),
+    (random_tree, (18, 3, 0), "mcs", (1, 4, 6, 11, 13)),
+    (random_tree, (18, 3, 0), "mscs", (4, 5, 9, 11, 14, 17)),
+    (random_tree, (19, 2, 5), "mcs", (2, 5, 6)),
+    (random_tree, (19, 2, 5), "mscs", (1, 2, 3, 4, 6, 9, 10, 12, 13, 16, 17, 19)),
+    (random_connected_graph, (20, 2, 1), "mscs", tuple(range(1, 21))),
+]
+
+
+@pytest.mark.parametrize("build,args,variant,witness", BRUTE_CAP_GOLDENS,
+                         ids=[f"{b.__name__}{i}-{v}" for i, (b, _a, v, _w)
+                              in enumerate(BRUTE_CAP_GOLDENS)])
+def test_brute_witness_goldens_at_cap(build, args, variant, witness):
+    g = build(*args)
+    assert 18 <= g.n <= exact.DEFAULT_VERTEX_CAP
+    cert = (brute_force_mscs if variant == "mscs" else brute_force_mcs)(g)
+    assert (cert.size, cert.witness) == (len(witness), witness)
+
+
+def prefix_cases():
+    for n in range(2, 7):
+        for colors in (1, 2, 3):
+            for seed in range(3):
+                yield random_tree(n, colors, 700 + 10 * n + seed)
+                yield random_connected_graph(n, colors, 800 + 10 * n + seed)
+
+
+def submasks(mask):
+    """Every submask of ``mask``, from ``mask`` itself down to 0."""
+    part = mask
+    while True:
+        yield part
+        if not part:
+            return
+        part = (part - 1) & mask
+
+
+def test_prefix_test_is_sound():
+    # every disjoint (chosen, future) pair: a prefix the layer test drops
+    # has no completion within future that passes, and with future empty
+    # the test is the graph checker's verdict
+    pruned = 0
+    for g in prefix_cases():
+        table = exact._layer_table(g)
+        vertices = range(1, g.n + 1)
+        full = (2 << g.n) - 2
+        for strict in (False, True):
+            passes = {mask: exact._consistency_scan(
+                g, [v for v in vertices if mask >> v & 1], strict)
+                for mask in range(2, full + 1, 2)}
+            for chosen in passes:
+                assert exact._layers_pass(table, chosen, strict, 0) == passes[chosen]
+                for future in submasks(full & ~chosen):
+                    if not exact._layers_pass(table, chosen, strict, future):
+                        pruned += 1
+                        assert not any(passes[chosen | part]
+                                       for part in submasks(future))
+    assert pruned > 10_000
+
+
+def test_layer_test_work_guard(monkeypatch):
+    # layer tests, not time: enumerating every k-subset made 1,046,529 on
+    # the alternating path, 903,055 on the first tree and 1,517 on the
+    # second tree.  Each bound leaves about 10% over today's count (1,511,
+    # 26,236 and 1,164; the last is 5,137 without the missed groups' test
+    # against the future mask).
+    layers_pass = exact._layers_pass
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return layers_pass(*args)
+
+    monkeypatch.setattr(exact, "_layers_pass", counted)
+    for g, solver, most in ((path_graph([1, 2] * 10), brute_force_mcs, 1_650),
+                            (random_tree(20, 4, 1), brute_force_mcs, 29_000),
+                            (random_tree(19, 2, 5), brute_force_mscs, 1_300)):
+        calls[0] = 0
+        solver(g)
+        assert calls[0] <= most
+
+
+def test_brute_force_never_recurses():
+    # the walk keeps its frames on a list: 1,100 picks deep under a
+    # 1,000-frame limit, which it leaves alone
+    caller = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        cert = brute_force_mscs(path_graph([1, 2] * 550), cap=1100)
+        after = sys.getrecursionlimit()
+    finally:
+        sys.setrecursionlimit(caller)
+    assert cert.witness == tuple(range(1, 1101))
+    assert after == 1000
 
 
 def test_witness_rechecked_once_by_the_graph_checker(monkeypatch):
