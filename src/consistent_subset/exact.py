@@ -15,17 +15,21 @@ strict consistent when it lies inside it.
 
 One cardinality is enumerated by a depth-first walk over ascending vertex
 tuples.  The walk keeps an explicit stack with one ``(next vertex, prefix
-mask)`` frame per pick, so it never recurses.  A prefix ``chosen`` whose
-last pick is ``v`` can only be completed by a set ``T`` of vertices after
-``v``, the mask ``future``; the prefix is dropped, with every completion,
-as soon as no completion can pass.  Since only tuples that cannot pass are
-skipped, the first passing tuple, the optimum and the witness are those of
-plain enumeration.  Two tests drop prefixes:
+mask, missed groups)`` frame per pick, so it never recurses.  A prefix
+``chosen`` whose last pick is ``v`` can only be completed by a set ``T`` of
+vertices after ``v``, the mask ``future``; the prefix is dropped, with
+every completion, as soon as no completion can pass.  Since only tuples
+that cannot pass are skipped, the first passing tuple, the optimum and the
+witness are those of plain enumeration.  Two tests drop prefixes:
 
 - Groups.  A consistent subset contains a vertex of every nonempty color
   class, and a strict consistent subset meets every block.  These groups
   are disjoint, so every group the prefix misses must meet ``future``, and
-  the missed groups may not outnumber the picks left.
+  the missed groups may not outnumber the picks left.  The frame carries
+  the missed groups as a mask, one bit per group.  Picking ``v`` clears the
+  bit of ``v``'s group, and a missed group fails to meet ``future`` exactly
+  when its largest vertex is ``v`` or earlier; one table per solve lists
+  those groups for each ``v``, so the test is O(1) per prefix.
 - Layers.  In ``S = chosen | T`` a vertex's nearest layer lies at or
   before the first layer meeting ``chosen``, and any member of ``S`` nearer
   than that layer comes from ``T``.  So each vertex's scan stops at the
@@ -38,6 +42,8 @@ plain enumeration.  Two tests drop prefixes:
   of ``S`` is an earlier one, met by other-color vertices of ``T`` only, or
   the stopping layer itself.  With ``future`` empty this is the exact test
   of the subset ``chosen``, so one test serves prefixes and full tuples.
+  The test is a conjunction over the vertices, so the order in which it
+  scans them changes only its cost.
 
 The witness is checked once more with the graph module's BFS checker
 before it is returned, and a disagreement raises ``AssertionError``.
@@ -65,13 +71,20 @@ def _layers_pass(table, chosen: int, strict: bool, future: int) -> bool:
 
     False proves that no such ``T`` exists (see the module docstring); True
     promises nothing unless ``future == 0``, where the test is exact: does
-    the subset ``chosen`` itself pass."""
-    for layers, own in table:
+    the subset ``chosen`` itself pass.
+
+    A failing row moves to the front of ``table``: the next prefix tends to
+    fail at the same vertex, and the row order changes only the cost."""
+    for row in table:
+        layers, own = row
         for layer in layers:
             hit = layer & chosen
             if hit or layer & own & future:
                 break
         if hit & ~own if strict else not (hit | layer & future) & own:
+            if row is not table[0]:
+                table.remove(row)
+                table.insert(0, row)
             return False
     return True
 
@@ -102,29 +115,35 @@ def _minimum_certificate(g: ColoredGraph, variant: str, cap: int) -> Certificate
     strict = variant == "mscs"
     vertices = range(1, g.n + 1)
     table = _layer_table(g)
-    # the color classes are the distinct own-class masks
-    groups = ([sum(1 << v for v in part) for part in blocks(g).partition]
-              if strict else list({own for _layers, own in table}))
+    # one bit per group: gbit[u] is the bit of u's group, and gone[v] has
+    # the bits of the groups with no vertex after v
+    group = blocks(g).block_of if strict else g.color
+    gbit = [0] + [1 << group[u] for u in vertices]
+    gone = [0] * (g.n + 1)
+    groups = 0
+    for v in reversed(vertices):
+        gone[v] = ~groups
+        groups |= gbit[v]
     full = (2 << g.n) - 2
-    for k in range(max(1, len(groups)), g.n + 1):
-        # one (next vertex, prefix mask) frame per pick; ascending tuples
-        # come off the stack in the order of vertex tuples
-        stack = [(1, 0)]
+    for k in range(max(1, groups.bit_count()), g.n + 1):
+        # one (next vertex, prefix mask, missed groups) frame per pick;
+        # ascending tuples come off the stack in the order of vertex tuples
+        stack = [(1, 0, groups)]
         while stack:
-            v, prefix = stack.pop()
+            v, prefix, missed = stack.pop()
             left = k - len(stack) - 1  # picks still to make after v
             if v > g.n - left:
                 continue
-            stack.append((v + 1, prefix))
+            stack.append((v + 1, prefix, missed))
+            miss = missed & ~gbit[v]
+            if miss & gone[v] or miss.bit_count() > left:
+                continue
             chosen = prefix | 1 << v
             future = full & -(2 << v) if left else 0
-            missed = [group for group in groups if not group & chosen]
-            if len(missed) > left or any(not group & future for group in missed):
-                continue
             if not _layers_pass(table, chosen, strict, future):
                 continue
             if left:
-                stack.append((v + 1, chosen))
+                stack.append((v + 1, chosen, miss))
                 continue
             witness = tuple(u for u in vertices if chosen >> u & 1)
             if not _consistency_scan(g, witness, strict):

@@ -74,12 +74,16 @@ class ColoredGraph:
 
     def __init__(self, n: int, c: int,
                  edges: Iterable[tuple[int, int]], color) -> None:
+        if not (isinstance(n, int) and isinstance(c, int)):
+            raise ValueError(f"counts must be integers, got n={n!r} c={c!r}")
         if n < 1:
             raise ValueError("vertex count must be at least 1")
         if c < 1:
             raise ValueError("color count must be at least 1")
         normalized = set()
         for u, w in edges:
+            if not (isinstance(u, int) and isinstance(w, int)):
+                raise ValueError(f"edge ({u!r},{w!r}) has a non-integer endpoint")
             if not (1 <= u <= n and 1 <= w <= n):
                 raise ValueError(f"edge ({u},{w}) has an endpoint outside 1..{n}")
             if u == w:
@@ -95,6 +99,8 @@ class ColoredGraph:
             if len(seq) != n:
                 raise ValueError(f"expected {n} colors, got {len(seq)}")
         for v, col in enumerate(seq, start=1):
+            if not isinstance(col, int):
+                raise ValueError(f"vertex {v} has non-integer color {col!r}")
             if not (1 <= col <= c):
                 raise ValueError(f"vertex {v} has color {col} outside 1..{c}")
         self.n = n

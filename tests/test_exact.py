@@ -186,29 +186,48 @@ def test_prefix_test_is_sound():
                         pruned += 1
                         assert not any(passes[chosen | part]
                                        for part in submasks(future))
+            # failing rows move to the front; the verdicts hold in any order
+            reverse = table[::-1]
+            for chosen in passes:
+                assert exact._layers_pass(reverse, chosen, strict, 0) == passes[chosen]
+        assert sorted(table) == sorted(exact._layer_table(g))
     assert pruned > 10_000
 
 
 def test_layer_test_work_guard(monkeypatch):
-    # layer tests, not time: enumerating every k-subset made 1,046,529 on
-    # the alternating path, 903,055 on the first tree and 1,517 on the
-    # second tree.  Each bound leaves about 10% over today's count (1,511,
-    # 26,236 and 1,164; the last is 5,137 without the missed groups' test
-    # against the future mask).
+    # layer tests and vertex rows scanned, not time: enumerating every
+    # k-subset made 1,046,529 tests on the alternating path, 903,055 on the
+    # first tree and 1,517 on the second tree.  Each bound leaves about 10%
+    # over today's count: 1,511, 26,236 and 1,164 tests (the last is 5,137
+    # without the missed groups' test against the future mask), scanning
+    # 7,942, 151,936 and 8,616 rows (11,386, 244,793 and 14,099 when a
+    # failing row stays in place).
     layers_pass = exact._layers_pass
+    layer_table = exact._layer_table
     calls = [0]
+    rows = [0]
 
     def counted(*args):
         calls[0] += 1
         return layers_pass(*args)
 
+    class CountedLayers(list):
+        # a row's layer list, counting the scans over it
+        def __iter__(self):
+            rows[0] += 1
+            return super().__iter__()
+
     monkeypatch.setattr(exact, "_layers_pass", counted)
-    for g, solver, most in ((path_graph([1, 2] * 10), brute_force_mcs, 1_650),
-                            (random_tree(20, 4, 1), brute_force_mcs, 29_000),
-                            (random_tree(19, 2, 5), brute_force_mscs, 1_300)):
-        calls[0] = 0
+    monkeypatch.setattr(exact, "_layer_table", lambda g: [
+        (CountedLayers(layers), own) for layers, own in layer_table(g)])
+    for g, solver, most, most_rows in (
+            (path_graph([1, 2] * 10), brute_force_mcs, 1_650, 8_750),
+            (random_tree(20, 4, 1), brute_force_mcs, 29_000, 167_000),
+            (random_tree(19, 2, 5), brute_force_mscs, 1_300, 9_500)):
+        calls[0] = rows[0] = 0
         solver(g)
         assert calls[0] <= most
+        assert rows[0] <= most_rows
 
 
 def test_brute_force_never_recurses():

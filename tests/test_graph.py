@@ -38,6 +38,15 @@ def test_graph_rejects_bad_input():
         ColoredGraph(2, 1, [], {1: 1, 2: 2})             # color range
     with pytest.raises(ValueError, match="^missing color for vertex 2$"):
         ColoredGraph(2, 1, [], {1: 1})
+    # non-integers would pass the range checks and crash the solvers later
+    with pytest.raises(ValueError, match="non-integer color"):
+        ColoredGraph(2, 2, [(1, 2)], [1.0, 2])
+    with pytest.raises(ValueError, match="non-integer endpoint"):
+        ColoredGraph(2, 2, [(1.0, 2)], [1, 2])
+    with pytest.raises(ValueError, match="^counts must be integers"):
+        ColoredGraph(2.0, 2, [(1, 2)], [1, 2])
+    with pytest.raises(ValueError, match="^counts must be integers"):
+        ColoredGraph(2, 2.0, [(1, 2)], [1, 2])
 
 
 def test_graph_equality_and_hash():
