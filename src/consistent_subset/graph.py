@@ -57,6 +57,12 @@ class PreconditionError(ValueError):
     """An operation was invoked outside its documented precondition."""
 
 
+def _is_int(x) -> bool:
+    """``int`` but not ``bool``: ``True`` would pass the range checks as 1
+    and then be written out as ``True``, which the parser rejects."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class ColoredGraph:
     """Immutable simple undirected graph with a total vertex coloring.
 
@@ -74,7 +80,7 @@ class ColoredGraph:
 
     def __init__(self, n: int, c: int,
                  edges: Iterable[tuple[int, int]], color) -> None:
-        if not (isinstance(n, int) and isinstance(c, int)):
+        if not (_is_int(n) and _is_int(c)):
             raise ValueError(f"counts must be integers, got n={n!r} c={c!r}")
         if n < 1:
             raise ValueError("vertex count must be at least 1")
@@ -82,7 +88,7 @@ class ColoredGraph:
             raise ValueError("color count must be at least 1")
         normalized = set()
         for u, w in edges:
-            if not (isinstance(u, int) and isinstance(w, int)):
+            if not (_is_int(u) and _is_int(w)):
                 raise ValueError(f"edge ({u!r},{w!r}) has a non-integer endpoint")
             if not (1 <= u <= n and 1 <= w <= n):
                 raise ValueError(f"edge ({u},{w}) has an endpoint outside 1..{n}")
@@ -99,7 +105,7 @@ class ColoredGraph:
             if len(seq) != n:
                 raise ValueError(f"expected {n} colors, got {len(seq)}")
         for v, col in enumerate(seq, start=1):
-            if not isinstance(col, int):
+            if not _is_int(col):
                 raise ValueError(f"vertex {v} has non-integer color {col!r}")
             if not (1 <= col <= c):
                 raise ValueError(f"vertex {v} has color {col} outside 1..{c}")

@@ -56,7 +56,7 @@ masks in decreasing numeric order), and witness reconstruction re-walks
 that order taking the first argmin, so reported witnesses are
 deterministic.
 
-Pruning.  Distance ranges are cut by subtree heights and by the colors
+Pruning.  Distance ranges are cut by prefix depths and by the colors
 available at each exact depth.  Five arguments then drop work whose
 value is known without building it.  None changes a key's value or
 the first argmin of any scan, so sizes and witnesses are the same as
@@ -147,11 +147,14 @@ DEFAULT_COLOR_CAP = 16
 class RootedTree:
     """A colored tree rooted for prefix dynamic programming.
 
-    Children are ordered by ascending vertex id.  Precomputes, per vertex,
-    subtree heights, the color masks available at each exact depth of
-    every child prefix, their running unions by depth, and the LCA of each
-    such level; and, per vertex, the nearest ancestor-or-self depth of each
-    color.  The solver uses those to prune infeasible keys.
+    Children are ordered by ascending vertex id.  Precomputes, per child
+    prefix, its depth (``depth_limit``), the color masks available at each
+    exact depth, their running unions by depth, and the LCA of each such
+    level; and, per vertex, the nearest ancestor-or-self depth of each
+    color.  The solver uses those to prune infeasible keys.  The color and
+    LCA rows hold the deepest level first and are shared along first
+    children (a one-child run keeps one row), so a row may be longer than
+    a prefix that reads it: every read goes through ``depth_limit``.
 
     The run index ``run`` holds, for each vertex with exactly one child, a
     pair ``(path, pos)``: ``path`` is its maximal run of one-child vertices
@@ -160,8 +163,8 @@ class RootedTree:
     uses it to resolve a one-child run in one hop.
     """
 
-    __slots__ = ("graph", "root", "parent", "children", "height", "color_bit",
-                 "run", "_depth", "_up", "_pref", "_near", "_lca")
+    __slots__ = ("graph", "root", "parent", "children", "color_bit",
+                 "run", "_depth", "_up", "_pref", "_top", "_near", "_lca")
 
     def __init__(self, g: ColoredGraph, root: int):
         if not g.is_tree:
@@ -219,78 +222,55 @@ class RootedTree:
                     last = mask
             up[u] = steps
         self._up = up
-        height = [0] * (n + 1)
-        # colors at each exact depth of the full subtree T(v), all its colors,
-        # and the LCA of its vertices at each depth.  LCA rows run from the
-        # deepest level up to depth 0 (the row of T_i(v) holds depth d at
-        # index depth_limit(v, i) - d), so a vertex with one child appends
-        # itself to that child's list instead of copying it; no other
-        # vertex extends that list.
-        sub: list = [None] * (n + 1)
-        sub_lca: list = [None] * (n + 1)
-        sub_colors = [0] * (n + 1)
-        for u in reversed(order):
-            kids = children[u]
-            colors = self.color_bit[u]
-            arr = [colors]
-            lca = [u]
-            if kids:
-                tallest = max(kids, key=height.__getitem__)
-                arr += sub[tallest]
-                if len(kids) == 1:
-                    lca = sub_lca[tallest]
-                    lca.append(u)
-                else:
-                    lca = sub_lca[tallest] + lca
-                top = len(arr) - 1
-                for w in kids:
-                    if w != tallest:
-                        warr = sub[w]
-                        for d, mask in enumerate(warr):
-                            arr[d + 1] |= mask
-                        lca[top - len(warr):top] = [u] * len(warr)
-                    colors |= sub_colors[w]
-            height[u] = len(arr) - 1
-            sub[u] = arr
-            sub_lca[u] = lca
-            sub_colors[u] = colors
-        self.height = tuple(height)
-        # the same for every child prefix T_i(v) (the last prefix is T(v)
-        # itself), and the running unions of its colors by depth
+        # per child prefix T_i(v), built bottom-up: the colors at each depth
+        # and the LCA of the prefix's vertices at each depth, both deepest
+        # level first (depth d at index depth_limit(v, i) - d), and the
+        # running unions of the colors by depth.  The last prefix is T(v).
+        # T_1(v) is T(v_1) one level up, so v appends itself to its first
+        # child's rows instead of copying them; a row is thus shared along
+        # first children and may run longer than a prefix that reads it, so
+        # every read is bounded by the prefix's top in `_top`.  Only v's
+        # parent reads or extends the rows of T(v) here, so they hold
+        # exactly top + 1 entries when it does.
         pref: list = [None] * (n + 1)
+        tops: list = [None] * (n + 1)
         near: list = [None] * (n + 1)
         lcas: list = [None] * (n + 1)
-        for u in order:
-            kids = children[u]
-            cur = [self.color_bit[u]]
-            lca = [u]
-            colors = cur[0]
-            arrs = [cur]
-            rows = [_running_union(cur, colors)]
-            lrows = [lca]
-            for j, w in enumerate(kids):
-                if j == len(kids) - 1:
-                    cur = sub[u]
-                    lca = sub_lca[u]
+        for u in reversed(order):
+            colors = bit = self.color_bit[u]
+            arr, lca, top = [bit], [u], 0
+            arrs, ltops, rows, lrows = [arr], [0], [[0, bit]], [lca]
+            for w in children[u]:
+                warr, wlca = pref[w][-1], lcas[w][-1]
+                colors |= near[w][-1][-1]
+                if not top:     # the first child
+                    warr.append(bit)
+                    wlca.append(u)
+                    arr, lca, top = warr, wlca, len(warr) - 1
                 else:
-                    warr = sub[w]
                     # depths 0..m, which both parts reach, now meet at u;
-                    # deeper levels keep the taller part's LCA
-                    m = min(len(cur), len(warr) + 1) - 1
-                    deeper = (lca[:len(cur) - 1 - m] if len(cur) > len(warr) + 1
-                              else sub_lca[w][:len(warr) - m])
-                    lca = deeper + [u] * (m + 1)
-                    cur = cur + [0] * max(0, len(warr) + 1 - len(cur))
-                    for d, mask in enumerate(warr):
-                        cur[d + 1] |= mask
-                colors |= sub_colors[w]
-                arrs.append(cur)
-                rows.append(_running_union(cur, colors))
+                    # deeper levels keep the taller part's LCA.  The taller
+                    # row is copied and the shorter one ORed into it.
+                    m = min(top, len(warr))
+                    if len(warr) > top:
+                        short, off = arr, len(warr) - top
+                        arr, lca, top = warr + [0], wlca + [u], len(warr)
+                    else:
+                        short, off = warr, top - len(warr)
+                        arr, lca = arr[:], lca[:]
+                    for k, mask in enumerate(short):
+                        arr[off + k] |= mask
+                    lca[top - m:] = [u] * (m + 1)
+                arrs.append(arr)
+                ltops.append(top)
+                rows.append(_running_union(reversed(arr), colors))
                 lrows.append(lca)
             pref[u] = arrs
+            tops[u] = ltops
             near[u] = rows
             lcas[u] = lrows
         self._pref = pref
+        self._top = tops
         self._near = near
         self._lca = lcas
 
@@ -299,12 +279,12 @@ class RootedTree:
 
     def depth_limit(self, v: int, i: int) -> int:
         """Largest hop distance from ``v`` realized inside ``T_i(v)``."""
-        return len(self._pref[v][i]) - 1
+        return self._top[v][i]
 
     def avail(self, v: int, i: int, d) -> int:
         """Colors present at exact distance ``d`` from ``v`` within ``T_i(v)``."""
-        arr = self._pref[v][i]
-        return arr[d] if 0 <= d < len(arr) else 0
+        top = self._top[v][i]
+        return self._pref[v][i][top - d] if 0 <= d <= top else 0
 
     def near(self, v: int, i: int, r) -> int:
         """Colors at distance below ``r`` from ``v`` within ``T_i(v)``
@@ -318,8 +298,8 @@ class RootedTree:
         """Colors at distance ``k`` (``>= 1``) or more from ``v`` on the path
         from ``v`` down to ``x``, the LCA of the vertices of ``T_i(v)`` at
         distance ``d``; 0 when ``x`` is ``v`` or no vertex lies at ``d``."""
-        top = len(self._pref[v][i]) - 1
-        x = self._lca[v][i][top - d] if d <= top else v
+        top = self._top[v][i]
+        x = self._lca[v][i][top - d] if 0 <= d <= top else v
         if x == v:
             return 0
         t = self._depth[v] + k
@@ -331,9 +311,9 @@ class RootedTree:
         return out
 
 
-def _running_union(masks: list, full: int) -> list:
-    """``out[r]`` = union of ``masks[:r]``, cut once it reaches ``full``,
-    the union of all of ``masks``."""
+def _running_union(masks, full: int) -> list:
+    """``out[r]`` = union of the first ``r`` of ``masks``, cut once it
+    reaches ``full``, the union of all of ``masks``."""
     out = [0]
     acc = 0
     for mask in masks:

@@ -47,6 +47,17 @@ def test_graph_rejects_bad_input():
         ColoredGraph(2.0, 2, [(1, 2)], [1, 2])
     with pytest.raises(ValueError, match="^counts must be integers"):
         ColoredGraph(2, 2.0, [(1, 2)], [1, 2])
+    # bool is an int subclass, and format_graph would write it as True
+    with pytest.raises(ValueError, match="^counts must be integers"):
+        ColoredGraph(True, 1, [], [1])
+    with pytest.raises(ValueError, match="^counts must be integers"):
+        ColoredGraph(2, True, [(1, 2)], [1, 1])
+    with pytest.raises(ValueError, match="non-integer endpoint"):
+        ColoredGraph(2, 2, [(True, 2)], [1, 2])
+    with pytest.raises(ValueError, match="non-integer color"):
+        ColoredGraph(2, 2, [(1, 2)], [True, 2])
+    with pytest.raises(ValueError, match="non-integer color"):
+        ColoredGraph(2, 2, [(1, 2)], {1: 1, 2: False})
 
 
 def test_graph_equality_and_hash():

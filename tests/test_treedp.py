@@ -37,14 +37,14 @@ def test_root_path_at_one():
     assert t.children[3] == (4,)
     assert t.children[4] == ()
     assert t.parent[4] == 3 and t.parent[1] == 0
-    assert t.height[1] == 3 and t.height[4] == 0
+    assert t.depth_limit(1, t.eta(1)) == 3 and t.depth_limit(4, t.eta(4)) == 0
 
 
 def test_root_star():
     star = star_graph(RED, [BLUE, BLUE, BLUE])
     t = root_tree(star, 1)
     assert t.eta(1) == 3
-    assert all(t.height[leaf] == 0 for leaf in (2, 3, 4))
+    assert all(t.depth_limit(leaf, t.eta(leaf)) == 0 for leaf in (2, 3, 4))
 
 
 def test_root_path_at_two():
@@ -478,7 +478,7 @@ def test_keys_match_enumeration(g):
                                 far_only += _passes_other_tests(tree, *key)
     assert rejected > 0
     # (the shallower trees here have no key that the far bound alone decides)
-    assert far_only > 0 or tree.height[1] < 3
+    assert far_only > 0 or tree.depth_limit(1, tree.eta(1)) < 3
 
 
 @pytest.mark.parametrize("g", [g for g in ENUMERATION_TREES if g.n <= 10])
@@ -585,6 +585,52 @@ def test_lca_rows_match_a_naive_climb(g):
     for v in range(1, g.n + 1):
         for i in range(tree.eta(v) + 1):
             assert _lca_row(tree, v, i) == _naive_lca_row(tree, v, i), (v, i)
+
+
+ROW_TREES = [runs_path(12, 2, 1, 3, 5), caterpillar(6, 2, 1, 2, 5),
+             spider(3, 3, 2, 4, 6), random_tree(40, 3, 4)]
+
+
+@pytest.mark.parametrize("g", ROW_TREES)
+def test_color_rows_match_a_naive_walk(g):
+    # rooted at vertex 1 and at the middle id; every prefix's depth, colors
+    # per exact distance and running unions match hop distances from v.
+    # Rows are shared along first children, so inside a one-child run a
+    # prefix's row runs past its depth, and nothing past it may be read
+    adj = ref_adjacency(g.n, g.edges)
+    for root in (1, (g.n + 1) // 2):
+        tree = root_tree(g, root)
+        longer = 0
+        for v in range(1, g.n + 1):
+            dist = ref_distances(adj, v)
+            for i in range(tree.eta(v) + 1):
+                prefix = prefix_vertices(tree, v, i)
+                top = max(dist[u] for u in prefix)
+                levels = [0] * (top + 1)
+                for u in prefix:
+                    levels[dist[u]] |= tree.color_bit[u]
+                assert tree.depth_limit(v, i) == top, (root, v, i)
+                assert ([tree.avail(v, i, d) for d in range(-1, top + 2)]
+                        == [0] + levels + [0]), (root, v, i)
+                below = [0]
+                for mask in levels:
+                    below.append(below[-1] | mask)
+                assert ([tree.near(v, i, r) for r in range(-1, top + 3)]
+                        == [0] + below + [below[-1]]), (root, v, i)
+                assert tree.near(v, i, INF) == below[-1], (root, v, i)
+                assert tree.far(v, i, top + 1, 1) == 0, (root, v, i)
+                longer += len(tree._pref[v][i]) > top + 1
+        assert longer > 0
+
+
+def test_prefix_row_entries_stay_linear_on_a_path():
+    # rows are shared along one-child runs: a 2,000-vertex path rooted at an
+    # end stores O(n) row entries (one colour row per prefix would be
+    # about 2M)
+    tree = root_tree(path_graph([RED, BLUE] * 1000), 1)
+    rows = {id(row): len(row) for table in (tree._pref, tree._lca, tree._near)
+            for per_vertex in table[1:] for row in per_vertex}
+    assert sum(rows.values()) <= 20_000
 
 
 def test_far_side_bound_on_a_branching_level():
