@@ -42,6 +42,9 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise _CliError(2, f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _CliError(2, f"{path}: not UTF-8 text ({exc.reason} "
+                           f"at byte {exc.start})") from None
 
 
 def _parse_file(path: str, parser_fn):

@@ -52,9 +52,9 @@ Recursion.  A key is resolved by case analysis:
 Color sets are int bitmasks (bit ``k`` = color ``k+1``).  All minima are
 taken in a fixed documented order (splits: shared distance first, then
 longer left distances ascending, then longer right distances ascending;
-masks in decreasing numeric order), and witness reconstruction re-walks
-that order taking the first argmin, so reported witnesses are
-deterministic.
+masks in decreasing numeric order), and the fill records each split
+key's first argmin, which reconstruction follows, so reported witnesses
+are deterministic.
 
 Pruning.  Distance ranges are cut by prefix depths and by the colors
 available at each exact depth.  Five arguments then drop work whose
@@ -333,13 +333,16 @@ class DPTable:
     """Memo of prefix-solution minima.
 
     ``memo`` maps full keys to values; ``size`` and ``sizes_by_prefix`` feed
-    the complexity-envelope checks and benchmark reporting.
+    the complexity-envelope checks and benchmark reporting.  ``step`` maps
+    each split key with a finite value to its first argmin, the
+    ``(left, right)`` subkey pair that witness reconstruction follows.
     """
 
-    __slots__ = ("memo",)
+    __slots__ = ("memo", "step")
 
     def __init__(self):
         self.memo: dict = {}
+        self.step: dict = {}
 
     @property
     def size(self) -> int:
@@ -595,47 +598,37 @@ def _compute(tree: RootedTree, key: tuple, table: DPTable):
         total = left + right
         if total < best:
             best = total
+            table.step[key] = left_key, right_key
     return best
 
 
-def _collect(tree: RootedTree, key: tuple, table: DPTable, acc: set) -> None:
-    """Re-walk the first argmin of a finite key, adding chosen vertices.
+def reconstruct_witness(tree: RootedTree, key: tuple, table: DPTable) -> frozenset:
+    """Chosen vertices of the first argmin realizing a solved finite key.
 
-    A key of an unchosen one-child vertex follows the same landing as
+    Follows the split argmins that the fill recorded in ``table.step``.  A
+    key of an unchosen one-child vertex follows the same landing as
     :func:`_compute`: no vertex above the landing vertex is chosen, so the
     key's chosen vertices are the landing key's.
     """
-    v, i, din, _dext, _cin, _cext = key
-    if din == INF:
-        return  # nothing chosen here
-    if i == 0:
-        acc.add(v)  # din == 0: v alone
-        return
-    if din and tree.run[v]:
-        _collect(tree, _run_landing(tree, key), table, acc)
-        return
-    target = table.memo[key]
-    for left_key, right_key in _subkey_pairs(tree, key):
-        left = dp_entry(tree, left_key, table)
-        if left == INF:
-            continue
-        right = dp_entry(tree, right_key, table)
-        if left + right == target:
-            _collect(tree, left_key, table, acc)
-            _collect(tree, right_key, table, acc)
-            return
-    raise AssertionError("table lost a split argmin")
-
-
-def reconstruct_witness(tree: RootedTree, key: tuple, table: DPTable) -> frozenset:
-    """Chosen vertices of the first argmin realizing a solved finite key."""
     val = table.memo.get(key)
     if val is None:
         raise ValueError("key has not been solved in this table")
     if val == INF:
         raise ValueError("key is infeasible; no witness exists")
     acc: set = set()
-    _collect(tree, key, table, acc)
+    step = table.step
+    stack = [key]
+    while stack:
+        key = stack.pop()
+        v, i, din, _dext, _cin, _cext = key
+        if din == INF:
+            continue  # nothing chosen here
+        if i == 0:
+            acc.add(v)  # din == 0: v alone
+        elif din and tree.run[v]:
+            stack.append(_run_landing(tree, key))
+        else:
+            stack.extend(step[key])
     if len(acc) != val:
         raise AssertionError("reconstruction does not match the table value")
     return frozenset(acc)
@@ -647,18 +640,18 @@ def _solve(g: ColoredGraph, color_cap: int):
     if g.c > color_cap:
         raise PreconditionError(
             f"{g.c} colors exceeds the solver's color cap {color_cap}")
+    tree = root_tree(g, 1)
+    table = DPTable()
+    r = tree.root
+    eta = tree.eta(r)
+    # every color present must be chosen somewhere, so a root key worth
+    # that many cannot be beaten by a later one
+    floor = tree.near(r, eta, INF).bit_count()
+    best = INF
+    best_key = None
     caller_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(caller_limit, 4 * g.n + 2000))
     try:
-        tree = root_tree(g, 1)
-        table = DPTable()
-        r = tree.root
-        eta = tree.eta(r)
-        # every color present must be chosen somewhere, so a root key worth
-        # that many cannot be beaten by a later one
-        floor = tree.near(r, eta, INF).bit_count()
-        best = INF
-        best_key = None
         for key in _side_keys(tree, r, eta, 0, INF, 0):   # each passes its color tests
             val = table.memo[key] = _compute(tree, key, table)
             if val < best:
@@ -666,11 +659,11 @@ def _solve(g: ColoredGraph, color_cap: int):
                 best_key = key
                 if best == floor:
                     break
-        if best == INF or best_key is None:
-            raise AssertionError("unreachable: a tree always has a consistent subset")
-        witness = reconstruct_witness(tree, best_key, table)
     finally:
         sys.setrecursionlimit(caller_limit)
+    if best == INF or best_key is None:
+        raise AssertionError("unreachable: a tree always has a consistent subset")
+    witness = reconstruct_witness(tree, best_key, table)
     cert = Certificate("mcs", tuple(sorted(witness)), int(best), "tree-dp-optimal")
     return cert, tree, table
 

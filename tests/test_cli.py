@@ -165,6 +165,26 @@ def test_verify_huge_header_fails_at_once(capsys, tmp_path):
     assert err == f"error: {path}: line 1: missing color line for vertex 1\n"
 
 
+@pytest.mark.parametrize("bad", ["subset", "graph"])
+def test_non_utf8_file_is_a_usage_error(tmp_path, bad):
+    # exit 1 means "verification failed", so an undecodable input must not
+    # escape as an exception (exit 1 with a traceback)
+    graph = tmp_path / "g.ccg"
+    graph.write_text(RRBB_TEXT)
+    sub = tmp_path / "s.sub"
+    sub.write_text("s 1 3\n")
+    target = sub if bad == "subset" else graph
+    target.write_bytes(b"s 1\xff\n" if bad == "subset" else b"p ccg\xff\n")
+    argv = (["verify", str(graph), str(sub)] if bad == "subset"
+            else ["solve", str(graph)])
+    proc = subprocess.run([sys.executable, "-m", "consistent_subset", *argv],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {target}: ")
+
+
 # --------------------------------------------------------------------------
 # gen
 

@@ -689,3 +689,22 @@ def test_reconstruct_guards():
     assert dp_entry(tree, infeasible, table2) == INF
     with pytest.raises(ValueError):
         reconstruct_witness(tree, infeasible, table2)
+
+
+def test_reconstruction_builds_no_key_and_does_not_recurse():
+    # on a 1,000-vertex alternating path every vertex is chosen, so the
+    # witness walk follows about 1,000 recorded splits down the path
+    g = path_graph([RED, BLUE] * 500)
+    cert, tree, table = solve_tree_mcs_detailed(g)
+    r = tree.root
+    key = next(key for key in _side_keys(tree, r, tree.eta(r), 0, INF, 0)
+               if table.memo.get(key) == cert.size)
+    size = table.size
+    caller = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        witness = reconstruct_witness(tree, key, table)
+    finally:
+        sys.setrecursionlimit(caller)
+    assert tuple(sorted(witness)) == cert.witness
+    assert table.size == size
