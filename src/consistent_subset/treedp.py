@@ -119,13 +119,17 @@ with no pruning at all:
   vertex ``w_m`` must have a color in ``cin | cext``, else the key is
   ``INF``.  So the landing key passes the color tests, and values, first
   argmins and witnesses are unchanged.  Branching vertices, a chosen
-  ``v`` and leaves keep the split recurrence.
+  ``v`` and leaves keep the split recurrence.  The fill lands a split's
+  right key before the memo lookup, so run keys are never stored (on a
+  path colored ``1...1 2`` rooted at the ``1`` end, storing them took
+  n(n+1)/2 keys) and ``step`` records the landing key.
 
 The color tests of step 1 run once per key, where the key is generated:
 in ``_side_keys`` for root keys and scanned sides, in ``_subkey_pairs``
 for the fixed sides of a split, and in ``dp_entry`` for a key passed in
-from outside; a run's landing key needs only the tie test.  The recursion
-itself starts at step 2.
+from outside; a landing key needs only the tie test, which
+``_run_landing`` runs.  ``_side_keys`` reads the prefix's rows once per
+scan.  The recursion itself starts at step 2.
 """
 
 from __future__ import annotations
@@ -164,7 +168,8 @@ class RootedTree:
     """
 
     __slots__ = ("graph", "root", "parent", "children", "color_bit",
-                 "run", "_depth", "_up", "_pref", "_top", "_near", "_lca")
+                 "run", "_depth", "_up", "_pref", "_top", "_near", "_lca",
+                 "_submasks")
 
     def __init__(self, g: ColoredGraph, root: int):
         if not g.is_tree:
@@ -273,6 +278,7 @@ class RootedTree:
         self._top = tops
         self._near = near
         self._lca = lcas
+        self._submasks: dict = {}   # level mask -> its nonempty submasks
 
     def eta(self, v: int) -> int:
         return len(self.children[v])
@@ -373,12 +379,14 @@ def make_dp_key(v: int, i: int, din, dext, cin: int, cext: int) -> tuple:
     return (v, i, din, dext, cin, cext)
 
 
-def _nonempty_submasks(mask: int):
+def _nonempty_submasks(mask: int) -> tuple:
     """Nonempty submasks of ``mask`` in decreasing numeric order."""
+    out = []
     s = mask
     while s:
-        yield s
+        out.append(s)
         s = (s - 1) & mask
+    return tuple(out)
 
 
 def _admissible(tree: RootedTree, v: int, i: int, din, dext, cin: int,
@@ -427,20 +435,27 @@ def _side_keys(tree: RootedTree, u: int, j: int, d0: int, dext, cext: int):
     colors of the far-side path and, unless the outside covers it,
     ``color(u)``.
     """
-    if not tree.near(u, j, INF) & ~cext:
+    near, top, pref = tree._near[u][j], tree._top[u][j], tree._pref[u][j]
+    if not near[-1] & ~cext:
         yield (u, j, INF, dext, 0, cext)
         return
     bit = tree.color_bit[u]
-    for d in range(d0, tree.depth_limit(u, j) + 1):
+    submasks = tree._submasks
+    for d in range(d0, top + 1):
         if d > dext:
-            if tree.near(u, j, (d - dext + 1) // 2) & ~cext:
+            r = (d - dext + 1) // 2
+            if near[r if r < len(near) else -1] & ~cext:
                 return
             k, need = (d - dext) // 2 + 1, 0
         else:
             k, need = 1, (0 if dext == d and cext & bit else bit)
         if d >= 2:
             need |= tree.far(u, j, d, k)
-        for mask in _nonempty_submasks(tree.avail(u, j, d)):
+        level = pref[top - d]
+        masks = submasks.get(level)
+        if masks is None:
+            masks = submasks[level] = _nonempty_submasks(level)
+        for mask in masks:
             if not need & ~mask:
                 yield (u, j, d, dext, mask, cext) if dext <= d else (u, j, d, INF, mask, 0)
 
@@ -532,7 +547,10 @@ def _run_landing(tree: RootedTree, key: tuple):
 
     ``v`` and every vertex between it and ``w`` stay unchosen: the walk goes
     ``j = min(din, one-child steps left)`` hops down to ``w`` and lands on
-    ``T(w)`` with ``din - j`` inside and ``dext + j`` outside.
+    ``T(w)`` with ``din - j`` inside and ``dext + j`` outside.  The fill
+    lands a split's right key before its memo lookup, so ``step`` records
+    the landing key; ``w`` is no run vertex when ``din - j >= 1``, so that
+    key never lands again.
     """
     v, _i, din, dext, cin, cext = key
     path, pos = tree.run[v]
@@ -566,7 +584,12 @@ def dp_entry(tree: RootedTree, key: tuple, table: DPTable):
 
 
 def _compute(tree: RootedTree, key: tuple, table: DPTable):
-    """Value of a key that passes :func:`_admissible`."""
+    """Value of a key that passes :func:`_admissible`.
+
+    A right subkey of an unchosen one-child vertex lands (see
+    :func:`_run_landing`) before the memo lookup, and ``step`` records the
+    landing key as the argmin's right part.
+    """
     v, i, din, _dext, cin, _cext = key
     if din == INF:
         return 0  # nothing chosen inside, and every prefix color is in cext
@@ -592,6 +615,10 @@ def _compute(tree: RootedTree, key: tuple, table: DPTable):
             left = memo[left_key] = _compute(tree, left_key, table)
         if left >= best:
             continue
+        if 0 < right_key[2] < INF and tree.run[right_key[0]]:
+            right_key = _run_landing(tree, right_key)
+            if right_key is None:
+                continue
         right = memo.get(right_key)
         if right is None:
             right = memo[right_key] = _compute(tree, right_key, table)
@@ -605,10 +632,12 @@ def _compute(tree: RootedTree, key: tuple, table: DPTable):
 def reconstruct_witness(tree: RootedTree, key: tuple, table: DPTable) -> frozenset:
     """Chosen vertices of the first argmin realizing a solved finite key.
 
-    Follows the split argmins that the fill recorded in ``table.step``.  A
-    key of an unchosen one-child vertex follows the same landing as
-    :func:`_compute`: no vertex above the landing vertex is chosen, so the
-    key's chosen vertices are the landing key's.
+    Follows the split argmins that the fill recorded in ``table.step``.
+    Their right keys are already landing keys, since the fill lands right
+    keys before the memo.  Any other key of an unchosen one-child vertex (a
+    root key, or one solved through :func:`dp_entry`) follows the same
+    landing as :func:`_compute`: no vertex above the landing vertex is
+    chosen, so the key's chosen vertices are the landing key's.
     """
     val = table.memo.get(key)
     if val is None:

@@ -303,12 +303,16 @@ def test_memo_work_guard():
     # n^2/2 keys on the alternating path; before the far-side bound it built
     # 12,769 keys on the runs-path and 1,835 on the caterpillar, and before
     # one-child runs resolved in one hop 5,579, 1,284 and 339,367 (the long
-    # runs-path).  Each bound leaves about 10% over today's count.
+    # runs-path), and before right keys landed ahead of the memo 911, 1,102
+    # and 16,441.  Each bound leaves about 10% over today's count.  On the
+    # path 1...1 2 a chosen vertex scans one child key per inside distance,
+    # and storing those before they landed built n(n+1)/2 = 500,500 keys.
     g = path_graph([RED, BLUE] * 200)
     assert solve_tree_mcs_detailed(g)[2].size <= 8 * g.n
-    for g, most in ((runs_path(80, 2, 15, 30, 11), 1_000),
-                    (caterpillar(35, 3, 8, 15, 8), 1_200),
-                    (runs_path(400, 2, 100, 100, 1), 18_000),
+    for g, most in ((runs_path(80, 2, 15, 30, 11), 215),
+                    (caterpillar(35, 3, 8, 15, 8), 1_030),
+                    (runs_path(400, 2, 100, 100, 1), 1_100),
+                    (path_graph([RED] * 999 + [BLUE]), 3_300),
                     (random_tree(40, 2, 10), None)):
         _cert, tree, table = solve_tree_mcs_detailed(g)
         assert most is None or table.size <= most
