@@ -26,8 +26,8 @@ from .reductions import (Interval, IntervalInstance, ReductionMetadata,
                          parse_set_cover, planar_ds_to_mscs,
                          predicted_interval_edges, set_cover_to_mscs)
 from .treedp import (DEFAULT_COLOR_CAP, DPTable, RootedTree, dp_entry,
-                     make_dp_key, reconstruct_witness, root_tree,
-                     solve_tree_mcs, solve_tree_mcs_detailed)
+                     reconstruct_witness, root_tree, solve_tree_mcs,
+                     solve_tree_mcs_detailed)
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,7 @@ __all__ = [
     "dominating_set_to_mcs", "dp_entry", "ds_mscs_certificate",
     "format_graph", "format_intervals", "format_metadata", "format_set_cover",
     "format_subset", "interval_cover_certificate", "intervals_to_graph",
-    "is_consistent", "is_strict_consistent", "make_dp_key", "max2sat_to_tree",
+    "is_consistent", "is_strict_consistent", "max2sat_to_tree",
     "min_dominating_set", "min_set_cover", "min_vertex_cover",
     "nearest_neighbors", "parse_cnf2", "parse_graph", "parse_intervals",
     "parse_set_cover", "parse_subset", "planar_ds_to_mscs",

@@ -14,13 +14,14 @@ is consistent when, for every vertex, that layer meets its own class, and
 strict consistent when it lies inside it.
 
 One cardinality is enumerated by a depth-first walk over ascending vertex
-tuples.  The walk keeps an explicit stack with one ``(next vertex, prefix
-mask, missed groups)`` frame per pick, so it never recurses.  A prefix
-``chosen`` whose last pick is ``v`` can only be completed by a set ``T`` of
-vertices after ``v``, the mask ``future``; the prefix is dropped, with
-every completion, as soon as no completion can pass.  Since only tuples
-that cannot pass are skipped, the first passing tuple, the optimum and the
-witness are those of plain enumeration.  Two tests drop prefixes:
+tuples.  The walk keeps an explicit stack with at most one ``(next
+vertex, prefix mask, missed groups)`` frame per pick, so it never
+recurses.  A prefix ``chosen`` whose last pick is ``v`` can only be
+completed by a set ``T`` of vertices after ``v``, the mask ``future``;
+the prefix is dropped, with every completion, as soon as no completion
+can pass.  Since only tuples that cannot pass are skipped, the first
+passing tuple, the optimum and the witness are those of plain
+enumeration.  Two tests drop prefixes:
 
 - Groups.  A consistent subset contains a vertex of every nonempty color
   class, and a strict consistent subset meets every block.  These groups
@@ -29,7 +30,9 @@ witness are those of plain enumeration.  Two tests drop prefixes:
   the missed groups as a mask, one bit per group.  Picking ``v`` clears the
   bit of ``v``'s group, and a missed group fails to meet ``future`` exactly
   when its largest vertex is ``v`` or earlier; one table per solve lists
-  those groups for each ``v``, so the test is O(1) per prefix.
+  those groups for each ``v``, so the test is O(1) per prefix.  A missed
+  group with no vertex after ``v`` fails every later sibling too, so the
+  walk then pushes no sibling frame.
 - Layers.  In ``S = chosen | T`` a vertex's nearest layer lies at or
   before the first layer meeting ``chosen``, and any member of ``S`` nearer
   than that layer comes from ``T``.  So each vertex's scan stops at the
@@ -50,7 +53,9 @@ before it is returned, and a disagreement raises ``AssertionError``.
 
 The module also carries tiny enumeration oracles for minimum dominating
 set, vertex cover, and set cover, which the instance generators and their
-tests use as ground truth.
+tests use as ground truth.  All three run one smallest-cover enumeration
+over a bit mask per candidate: its closed neighbourhood, its incident
+edges, or the set.
 """
 
 from __future__ import annotations
@@ -106,10 +111,14 @@ def _layer_table(g: ColoredGraph) -> list:
     return table
 
 
-def _minimum_certificate(g: ColoredGraph, variant: str, cap: int) -> Certificate:
+def _vertex_cap(g: ColoredGraph, cap: int) -> None:
     if g.n > cap:
         raise PreconditionError(
             f"graph has {g.n} vertices, enumeration cap is {cap}")
+
+
+def _minimum_certificate(g: ColoredGraph, variant: str, cap: int) -> Certificate:
+    _vertex_cap(g, cap)
     if not g.is_connected:
         raise PreconditionError("graph must be connected")
     strict = variant == "mscs"
@@ -126,15 +135,16 @@ def _minimum_certificate(g: ColoredGraph, variant: str, cap: int) -> Certificate
         groups |= gbit[v]
     full = (2 << g.n) - 2
     for k in range(max(1, groups.bit_count()), g.n + 1):
-        # one (next vertex, prefix mask, missed groups) frame per pick;
+        # at most one (next vertex, prefix mask, missed groups) frame per pick;
         # ascending tuples come off the stack in the order of vertex tuples
         stack = [(1, 0, groups)]
         while stack:
             v, prefix, missed = stack.pop()
-            left = k - len(stack) - 1  # picks still to make after v
-            if v > g.n - left:
-                continue
-            stack.append((v + 1, prefix, missed))
+            left = k - prefix.bit_count() - 1  # picks still to make after v
+            # the sibling v + 1 needs room for its picks, and a missed group
+            # with no vertex after v fails it and every later sibling
+            if v < g.n - left and not missed & gone[v]:
+                stack.append((v + 1, prefix, missed))
             miss = missed & ~gbit[v]
             if miss & gone[v] or miss.bit_count() > left:
                 continue
@@ -163,42 +173,41 @@ def brute_force_mscs(g: ColoredGraph, cap: int = DEFAULT_VERTEX_CAP) -> Certific
     return _minimum_certificate(g, "mscs", cap)
 
 
+def _smallest_cover(masks: list, universe: int):
+    """``(size, witness)`` of the first candidate tuple, in (size,
+    lexicographic) order, whose masks unite to ``universe``; the witness
+    holds 1-based candidate indices.  ``None`` when no tuple does."""
+    candidates = range(len(masks))
+    for k in range(len(masks) + 1):
+        for combo in itertools.combinations(candidates, k):
+            got = 0
+            for i in combo:
+                got |= masks[i]
+            if got == universe:
+                return k, tuple(i + 1 for i in combo)
+    return None
+
+
 def min_dominating_set(g: ColoredGraph, cap: int = DEFAULT_VERTEX_CAP):
     """``(size, witness)`` of a minimum dominating set; colors ignored."""
-    if g.n > cap:
-        raise PreconditionError(
-            f"graph has {g.n} vertices, enumeration cap is {cap}")
-    closed = [0] * (g.n + 1)
+    _vertex_cap(g, cap)
+    closed = []
     for v in range(1, g.n + 1):
         mask = 1 << v
         for w in g.neighbors(v):
             mask |= 1 << w
-        closed[v] = mask
-    targets = closed[1:]
-    vertices = range(1, g.n + 1)
-    for k in range(1, g.n + 1):
-        for combo in itertools.combinations(vertices, k):
-            smask = 0
-            for v in combo:
-                smask |= 1 << v
-            if all(t & smask for t in targets):
-                return k, combo
-    raise AssertionError("unreachable: V dominates itself")
+        closed.append(mask)
+    return _smallest_cover(closed, (2 << g.n) - 2)
 
 
 def min_vertex_cover(g: ColoredGraph, cap: int = DEFAULT_VERTEX_CAP):
     """``(size, witness)`` of a minimum vertex cover; colors ignored."""
-    if g.n > cap:
-        raise PreconditionError(
-            f"graph has {g.n} vertices, enumeration cap is {cap}")
-    edge_list = sorted(g.edges)
-    vertices = range(1, g.n + 1)
-    for k in range(0, g.n + 1):
-        for combo in itertools.combinations(vertices, k):
-            chosen = set(combo)
-            if all(u in chosen or w in chosen for u, w in edge_list):
-                return k, combo
-    raise AssertionError("unreachable: V covers every edge")
+    _vertex_cap(g, cap)
+    incident = [0] * g.n
+    for e, (u, w) in enumerate(g.edges):
+        incident[u - 1] |= 1 << e
+        incident[w - 1] |= 1 << e
+    return _smallest_cover(incident, (1 << len(g.edges)) - 1)
 
 
 def min_set_cover(sc, cap: int = DEFAULT_VERTEX_CAP):
@@ -209,14 +218,8 @@ def min_set_cover(sc, cap: int = DEFAULT_VERTEX_CAP):
     m = len(sc.sets)
     if m > cap:
         raise PreconditionError(f"{m} sets exceeds enumeration cap {cap}")
-    masks = [sum(1 << (e - 1) for e in s) for s in sc.sets]
-    universe = (1 << sc.n) - 1
-    for k in range(0, m + 1):
-        for combo in itertools.combinations(range(m), k):
-            got = 0
-            for i in combo:
-                got |= masks[i]
-            if got == universe:
-                return k, tuple(i + 1 for i in combo)
-    raise PreconditionError("the union of the sets does not cover the universe")
-
+    best = _smallest_cover([sum(1 << (e - 1) for e in s) for s in sc.sets],
+                           (1 << sc.n) - 1)
+    if best is None:
+        raise PreconditionError("the union of the sets does not cover the universe")
+    return best

@@ -259,7 +259,7 @@ def dominating_set_to_mcs(g: ColoredGraph):
 
 @dataclass(frozen=True)
 class TreeReductionLayout:
-    """Vertex and color ids of every gadget role in a 2-CNF tree."""
+    """Vertex ids of every gadget role in a 2-CNF tree."""
 
     n: int
     m: int
@@ -272,10 +272,6 @@ class TreeReductionLayout:
     right_path: Mapping    # (clause, 1..7) -> vid, second-literal path
     clause_path: Mapping   # (clause, 1..7) -> vid, connector path
     center: tuple          # (v1, v2, v3)
-    lit_color: Mapping     # (variable, positive) -> color id
-    stab_color: Mapping    # (variable, j) -> color id
-    clause_color: Mapping  # clause -> color id
-    center_color: int
 
     def roles(self):
         for i in range(1, self.n + 1):
@@ -402,9 +398,7 @@ def max2sat_to_tree(f: TwoSatFormula, M: int | None = None):
         pos_path=pos_path, neg_path=neg_path,
         pos_stab=pos_stab, neg_stab=neg_stab,
         left_path=left_path, right_path=right_path, clause_path=clause_path,
-        center=(v1, v2, v3),
-        lit_color=lit_color, stab_color=stab_color,
-        clause_color=clause_color, center_color=center_color)
+        center=(v1, v2, v3))
     meta = ReductionMetadata(
         reduction="2sat-tree",
         params=(("n", n), ("m", m), ("M", M)),
@@ -489,7 +483,6 @@ class IntervalInstance:
     p: int
     q: int
     source_n: int
-    source_m: int
     mediums: tuple        # (edge index, source vertex, interval id) triples
     gadget_smalls: Mapping  # source vertex -> tuple of interval ids
     gap_smalls: Mapping     # gap index 1..n -> tuple of interval ids
@@ -567,7 +560,7 @@ def cubic_vc_to_intervals(g: ColoredGraph, p: int | None = None,
     large = Interval(nxt, 1, Fraction(1), Fraction(2 * n + 2))
     intervals.append(large)
     instance = IntervalInstance(
-        intervals=tuple(intervals), p=p, q=q, source_n=n, source_m=g.m,
+        intervals=tuple(intervals), p=p, q=q, source_n=n,
         mediums=tuple(mediums), gadget_smalls=gadget_smalls,
         gap_smalls=gap_smalls, large_id=large.id)
     meta = ReductionMetadata(

@@ -119,17 +119,20 @@ with no pruning at all:
   vertex ``w_m`` must have a color in ``cin | cext``, else the key is
   ``INF``.  So the landing key passes the color tests, and values, first
   argmins and witnesses are unchanged.  Branching vertices, a chosen
-  ``v`` and leaves keep the split recurrence.  The fill lands a split's
-  right key before the memo lookup, so run keys are never stored (on a
-  path colored ``1...1 2`` rooted at the ``1`` end, storing them took
-  n(n+1)/2 keys) and ``step`` records the landing key.
+  ``v`` and leaves keep the split recurrence.  A run key is landed where
+  it is requested, so none is computed: the split scan yields a right
+  key already landed, so those are never stored (on a path colored
+  ``1...1 2`` rooted at the ``1`` end, storing them took n(n+1)/2 keys),
+  and ``dp_entry`` stores one it is asked for with its landing's value.
+  ``step`` records the landing key either way.
 
-The color tests of step 1 run once per key, where the key is generated:
-in ``_side_keys`` for root keys and scanned sides, in ``_subkey_pairs``
-for the fixed sides of a split, and in ``dp_entry`` for a key passed in
-from outside; a landing key needs only the tie test, which
-``_run_landing`` runs.  ``_side_keys`` reads the prefix's rows once per
-scan.  The recursion itself starts at step 2.
+From outside the fill, keys enter the table through ``dp_entry`` alone,
+the root keys included.  The color tests of step 1 run where
+a key is generated: in ``_side_keys`` for scanned sides, in
+``_subkey_pairs`` for the fixed sides of a split, and in ``dp_entry``
+(so a root key, already scanned, runs them twice); a landing key needs
+only the tie test, which ``_run_landing`` runs.  ``_side_keys`` reads
+the prefix's rows once per scan.  The recursion itself starts at step 2.
 """
 
 from __future__ import annotations
@@ -340,8 +343,10 @@ class DPTable:
 
     ``memo`` maps full keys to values; ``size`` and ``sizes_by_prefix`` feed
     the complexity-envelope checks and benchmark reporting.  ``step`` maps
-    each split key with a finite value to its first argmin, the
-    ``(left, right)`` subkey pair that witness reconstruction follows.
+    every stored key with a finite value, a finite ``din`` and ``i >= 1`` to
+    the keys holding its chosen vertices, which witness reconstruction
+    follows: a split key's first argmin, the ``(left, right)`` subkey pair,
+    or a run key's one-key ``(landing,)`` (see :func:`dp_entry`).
     """
 
     __slots__ = ("memo", "step")
@@ -359,24 +364,6 @@ class DPTable:
         for key in self.memo:
             counts[(key[0], key[1])] += 1
         return counts
-
-
-def make_dp_key(v: int, i: int, din, dext, cin: int, cext: int) -> tuple:
-    """Validate and build a canonical key: ``dext > din`` becomes ``(INF, 0)``."""
-    for d, mask, lo in ((din, cin, 0), (dext, cext, 1)):
-        if d == INF:
-            if mask != 0:
-                raise ValueError("an INF distance requires an empty color mask")
-        else:
-            if not isinstance(d, int) or d < lo:
-                raise ValueError(f"distance {d} out of range (min {lo})")
-            if mask == 0:
-                raise ValueError("a finite distance requires a nonempty color mask")
-    if i < 0:
-        raise ValueError("prefix width must be nonnegative")
-    if dext > din:
-        return (v, i, din, INF, cin, 0)
-    return (v, i, din, dext, cin, cext)
 
 
 def _nonempty_submasks(mask: int) -> tuple:
@@ -481,11 +468,17 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
     not, since ``T_{i-1}(v)`` has its own LCA at each level and ``ca`` may
     be smaller than ``cin``, so those left keys are checked against it
     here, and the fixed child keys are passed through :func:`_admissible`.
+
+    A right key of an unchosen one-child child (finite ``din >= 1``) is
+    yielded landed (see :func:`_run_landing`), or as ``None`` when its
+    landing is worth ``INF``, so no run key reaches :func:`_compute`.
     """
     v, i, din, dext, cin, cext = key
     child = tree.children[v][i - 1]
     eta = len(tree.children[child])
     dmin = dext if dext < din else din        # nearest chosen of all, from v
+    run = tree.run[child]
+    land = run and din >= 2                   # right keys at din - 1 >= 1 land
     la = tree.avail(v, i - 1, din) & cin
     ra = tree.avail(child, eta, din - 1) & cin
     # colors that a left key attaining din must hold (far-side bound)
@@ -521,7 +514,7 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
                 right = ((child, eta, din - 1, dmin + 1, cb, cy) if dmin <= din - 2
                          else (child, eta, din - 1, INF, cb, 0))
                 if _admissible(tree, *right):
-                    yield left, right
+                    yield left, _run_landing(tree, right) if land else right
     # only the child side attains din; the left part is farther (or empty),
     # so the child's key is fixed and the left sees the outside at `dmin`
     if ra == cin:
@@ -529,6 +522,8 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
         right = ((child, eta, din - 1, dext + 1, cin, cext) if dext <= din - 2
                  else (child, eta, din - 1, INF, cin, 0))
         if _admissible(tree, *right):
+            if land:
+                right = _run_landing(tree, right)
             for left in _side_keys(tree, v, i - 1, din + 1, dmin, cx):
                 yield left, right
     # only the left part attains din; the child side is farther (or empty),
@@ -537,20 +532,21 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
         left = (v, i - 1, din, dext, cin, cext)
         cy = (cin if dmin == din else 0) | (cext if dext == dmin else 0)
         for right in _side_keys(tree, child, eta, din, dmin + 1, cy):
-            yield left, right
+            yield left, (_run_landing(tree, right) if run and 0 < right[2] < INF
+                         else right)
 
 
 def _run_landing(tree: RootedTree, key: tuple):
-    """The key that a finite key with ``din >= 1`` of a one-child vertex
-    resolves to (see "One-child runs"), or ``None`` when the run's tie
-    vertex fails its color test and the key is worth ``INF``.
+    """The key that a finite key with ``din >= 1`` of a one-child vertex's
+    ``T_1(v)`` resolves to (see "One-child runs"), or ``None`` when the
+    run's tie vertex fails its color test and the key is worth ``INF``.
 
     ``v`` and every vertex between it and ``w`` stay unchosen: the walk goes
     ``j = min(din, one-child steps left)`` hops down to ``w`` and lands on
-    ``T(w)`` with ``din - j`` inside and ``dext + j`` outside.  The fill
-    lands a split's right key before its memo lookup, so ``step`` records
-    the landing key; ``w`` is no run vertex when ``din - j >= 1``, so that
-    key never lands again.
+    ``T(w)`` with ``din - j`` inside and ``dext + j`` outside.  ``w`` is no
+    run vertex when ``din - j >= 1``, so a landing key never lands again.
+    Its two callers land a run key where it is requested: :func:`dp_entry`
+    and :func:`_subkey_pairs`, for the split loop's right keys.
     """
     v, _i, din, dext, cin, cext = key
     path, pos = tree.run[v]
@@ -570,25 +566,40 @@ def _run_landing(tree: RootedTree, key: tuple):
 def dp_entry(tree: RootedTree, key: tuple, table: DPTable):
     """Minimum chosen vertices inside the prefix for ``key`` (or ``INF``).
 
-    Key invariants (see :func:`make_dp_key`) are assumed, not re-checked.
-    The key's color tests (:func:`_admissible`) run here, once, before it
-    is computed; the solver builds only keys that pass them, so
-    :func:`_compute` runs none.
+    The one way a key enters the table from outside the fill, the root scan
+    included.  ``key`` must be canonical (see "State"); that is assumed,
+    not checked.  Its color tests (:func:`_admissible`) run here.  A key of
+    an unchosen one-child vertex (see "One-child runs") is landed with
+    :func:`_run_landing` and stored with the landing key's value, and a
+    finite one records ``(landing,)`` in ``step``; any other key is
+    computed.  So no run key reaches :func:`_compute`.
     """
     memo = table.memo
     val = memo.get(key)
     if val is None:
-        val = _compute(tree, key, table) if _admissible(tree, *key) else INF
+        v, i, din = key[:3]
+        if not _admissible(tree, *key):
+            val = INF
+        elif i and 0 < din < INF and tree.run[v]:
+            land = _run_landing(tree, key)
+            val = INF if land is None else memo.get(land)
+            if val is None:
+                val = memo[land] = _compute(tree, land, table)
+            if val < INF:
+                table.step[key] = (land,)
+        else:
+            val = _compute(tree, key, table)
         memo[key] = val
     return val
 
 
 def _compute(tree: RootedTree, key: tuple, table: DPTable):
-    """Value of a key that passes :func:`_admissible`.
+    """Value of a key that passes :func:`_admissible` and is no run key.
 
-    A right subkey of an unchosen one-child vertex lands (see
-    :func:`_run_landing`) before the memo lookup, and ``step`` records the
-    landing key as the argmin's right part.
+    :func:`_subkey_pairs` yields right subkeys already landed (``None`` is
+    worth ``INF``), so ``step`` records a landing key as the argmin's right
+    part.  A left subkey is never a run key: under a one-child ``v`` it is
+    a key of ``T_0(v)``.
     """
     v, i, din, _dext, cin, _cext = key
     if din == INF:
@@ -600,25 +611,13 @@ def _compute(tree: RootedTree, key: tuple, table: DPTable):
     if i == 0:
         return 1  # only din == 0 is realizable in {v}
     memo = table.memo
-    if din and tree.run[v]:
-        land = _run_landing(tree, key)
-        if land is None:
-            return INF
-        val = memo.get(land)
-        if val is None:
-            val = memo[land] = _compute(tree, land, table)
-        return val
     best = INF
     for left_key, right_key in _subkey_pairs(tree, key):
         left = memo.get(left_key)
         if left is None:
             left = memo[left_key] = _compute(tree, left_key, table)
-        if left >= best:
+        if left >= best or right_key is None:
             continue
-        if 0 < right_key[2] < INF and tree.run[right_key[0]]:
-            right_key = _run_landing(tree, right_key)
-            if right_key is None:
-                continue
         right = memo.get(right_key)
         if right is None:
             right = memo[right_key] = _compute(tree, right_key, table)
@@ -632,12 +631,9 @@ def _compute(tree: RootedTree, key: tuple, table: DPTable):
 def reconstruct_witness(tree: RootedTree, key: tuple, table: DPTable) -> frozenset:
     """Chosen vertices of the first argmin realizing a solved finite key.
 
-    Follows the split argmins that the fill recorded in ``table.step``.
-    Their right keys are already landing keys, since the fill lands right
-    keys before the memo.  Any other key of an unchosen one-child vertex (a
-    root key, or one solved through :func:`dp_entry`) follows the same
-    landing as :func:`_compute`: no vertex above the landing vertex is
-    chosen, so the key's chosen vertices are the landing key's.
+    Follows ``table.step``, which holds an entry for every stored key with
+    a finite value, a finite ``din`` and ``i >= 1``: a split's first argmin
+    or a run key's landing, whose chosen vertices are the key's.
     """
     val = table.memo.get(key)
     if val is None:
@@ -654,8 +650,6 @@ def reconstruct_witness(tree: RootedTree, key: tuple, table: DPTable) -> frozens
             continue  # nothing chosen here
         if i == 0:
             acc.add(v)  # din == 0: v alone
-        elif din and tree.run[v]:
-            stack.append(_run_landing(tree, key))
         else:
             stack.extend(step[key])
     if len(acc) != val:
@@ -681,8 +675,8 @@ def _solve(g: ColoredGraph, color_cap: int):
     caller_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(caller_limit, 4 * g.n + 2000))
     try:
-        for key in _side_keys(tree, r, eta, 0, INF, 0):   # each passes its color tests
-            val = table.memo[key] = _compute(tree, key, table)
+        for key in _side_keys(tree, r, eta, 0, INF, 0):
+            val = dp_entry(tree, key, table)
             if val < best:
                 best = val
                 best_key = key

@@ -14,6 +14,8 @@ from collections import deque
 import consistent_subset
 from consistent_subset import ColoredGraph, SplitMix64
 
+INF = float("inf")
+
 
 # --------------------------------------------------------------------------
 # independent reference oracles (no library code)
@@ -103,6 +105,27 @@ def ref_min_set_cover(n, sets):
 
 # --------------------------------------------------------------------------
 # rooted trees
+
+def make_dp_key(v, i, din, dext, cin, cext):
+    """Validate and build a canonical tree-DP key ``(v, i, din, dext, cin,
+    cext)``: an ``INF`` distance goes with an empty color mask and a finite
+    one with a nonempty mask, ``din >= 0``, ``dext >= 1``, ``i >= 0``, and
+    ``dext > din`` becomes ``(INF, 0)``."""
+    for d, mask, lo in ((din, cin, 0), (dext, cext, 1)):
+        if d == INF:
+            if mask != 0:
+                raise ValueError("an INF distance requires an empty color mask")
+        else:
+            if not isinstance(d, int) or d < lo:
+                raise ValueError(f"distance {d} out of range (min {lo})")
+            if mask == 0:
+                raise ValueError("a finite distance requires a nonempty color mask")
+    if i < 0:
+        raise ValueError("prefix width must be nonnegative")
+    if dext > din:
+        return (v, i, din, INF, cin, 0)
+    return (v, i, din, dext, cin, cext)
+
 
 def prefix_vertices(tree, v, i):
     """Vertices of the child prefix ``T_i(v)`` of a rooted tree: ``v`` and

@@ -38,6 +38,12 @@ def test_graph_rejects_bad_input():
         ColoredGraph(2, 1, [], {1: 1, 2: 2})             # color range
     with pytest.raises(ValueError, match="^missing color for vertex 2$"):
         ColoredGraph(2, 1, [], {1: 1})
+    with pytest.raises(ValueError, match="^color count must be at least 1$"):
+        ColoredGraph(1, 0, [], [1])
+    with pytest.raises(ValueError, match="^expected 2 colors, got 1$"):
+        ColoredGraph(2, 1, [], [1])
+    with pytest.raises(ValueError, match="^expected 2 colors, got 3$"):
+        ColoredGraph(2, 1, [], [1, 1, 1])
     # non-integers would pass the range checks and crash the solvers later
     with pytest.raises(ValueError, match="non-integer color"):
         ColoredGraph(2, 2, [(1, 2)], [1.0, 2])

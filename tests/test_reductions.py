@@ -46,6 +46,7 @@ def test_two_sat_satisfied_count():
     ("1 2 0\n", 1, "before 'p cnf' header"),
     ("p cnf 2 1\np cnf 2 1\n1 2 0\n", 2, "duplicate header"),
     ("p sat 2 1\n1 2 0\n", 1, "expected header"),
+    ("p cnf x 1\n1 2 0\n", 1, "header fields must be integers"),
     ("p cnf 0 1\n1 2 0\n", 1, "malformed header"),
     ("p cnf 2 1\n1 2\n", 2, "end with 0"),
     ("p cnf 2 1\n1 3 0\n", 2, "literal 3 out of range"),
@@ -80,6 +81,14 @@ def test_set_cover_round_trip():
     ("p sc 1 2\ns 1 1\ns 1 1\n", 3, "duplicate set line"),
     ("p sc 2 1\ns 1 1\n", 2, "cover the whole universe"),
     ("p sc 1 2\ns 1 1\n", 2, "missing set line for index 2"),
+    ("p sc 1 1\np sc 1 1\ns 1 1\n", 2, "duplicate header"),
+    ("p sc 1\ns 1 1\n", 1, "expected header 'p sc <n> <m>'"),
+    ("p cnf 1 1\ns 1 1\n", 1, "expected header 'p sc <n> <m>'"),
+    ("p sc x 1\ns 1 1\n", 1, "header fields must be integers"),
+    ("p sc 0 1\ns 1\n", 1, "malformed header counts n=0 m=1"),
+    ("p sc 1 0\n", 1, "malformed header counts n=1 m=0"),
+    ("p sc 1 1\ns 1 x\n", 2, "set line fields must be integers"),
+    ("p sc 1 1\ns\n", 2, "set line must name a set index"),
 ])
 def test_parse_set_cover_errors(text, line, fragment):
     with pytest.raises(ParseError) as exc:

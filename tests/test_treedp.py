@@ -7,13 +7,15 @@ from hypothesis import example, given, strategies as st
 from consistent_subset import (ColoredGraph, PreconditionError,
                                brute_force_mcs, is_consistent, random_tree,
                                solve_tree_mcs, solve_tree_mcs_detailed)
-from consistent_subset.treedp import (INF, DPTable, dp_entry, make_dp_key,
+from consistent_subset import treedp
+from consistent_subset.treedp import (INF, DPTable, dp_entry,
                                       reconstruct_witness, root_tree,
                                       _admissible, _side_keys)
 
-from helpers import (RRBB, broom, caterpillar, path_graph, prefix_vertices,
-                     ref_adjacency, ref_distances, ref_is_consistent,
-                     ref_minimum_subset, runs_path, spider, star_graph)
+from helpers import (RRBB, broom, caterpillar, make_dp_key, path_graph,
+                     prefix_vertices, ref_adjacency, ref_distances,
+                     ref_is_consistent, ref_minimum_subset, runs_path, spider,
+                     star_graph)
 
 RED, BLUE = 1, 2
 RBIT, BBIT = 1, 2
@@ -86,7 +88,7 @@ def test_exact_depth_color_masks():
 
 
 # --------------------------------------------------------------------------
-# key validation and single entries
+# the tests' key builder (helpers.make_dp_key) and single entries
 
 def test_make_dp_key_validation():
     make_dp_key(2, 0, 0, 1, RBIT, RBIT)
@@ -712,3 +714,70 @@ def test_reconstruction_builds_no_key_and_does_not_recurse():
         sys.setrecursionlimit(caller)
     assert tuple(sorted(witness)) == cert.witness
     assert table.size == size
+
+
+# --------------------------------------------------------------------------
+# one entry into the table: run keys land where they are requested
+
+# one-child runs from the root, below a branching vertex and down to a
+# branching vertex
+RUN_TREES = [path_graph([RED, BLUE] * 5), path_graph([RED] * 7 + [BLUE]),
+             runs_path(12, 2, 1, 3, 5), caterpillar(6, 2, 1, 2, 5),
+             spider(3, 3, 2, 4, 6), LEG_ROOTED_SPIDER,
+             broom([RED, RED, BLUE, BLUE, RED, RED], [BLUE, RED, BLUE])]
+
+
+def _run_keys(tree):
+    """Every key of a one-child vertex's ``T_1(v)`` with finite ``din >= 1``
+    that passes the color tests, under every outside."""
+    masks = range(1, 1 << tree.graph.c)
+    for v in range(1, tree.graph.n + 1):
+        if tree.run[v]:
+            for dext in list(range(1, tree.depth_limit(v, 1) + 3)) + [INF]:
+                for cext in ([0] if dext == INF else masks):
+                    for key in _side_keys(tree, v, 1, 1, dext, cext):
+                        if key[2] != INF:
+                            yield key
+
+
+@pytest.mark.parametrize("g", RUN_TREES)
+def test_no_run_key_reaches_compute(g, monkeypatch):
+    # dp_entry (the root scan's entry too) and _subkey_pairs, for the split
+    # loop's right keys, land a key of an unchosen one-child vertex before
+    # it could be computed
+    compute = treedp._compute
+    computed = []
+
+    def checked(tree, key, table):
+        v, _i, din = key[:3]
+        assert not (0 < din < INF and tree.run[v]), key
+        computed.append(key)
+        return compute(tree, key, table)
+
+    monkeypatch.setattr(treedp, "_compute", checked)
+    solve_tree_mcs_detailed(g)
+    tree = root_tree(g, 1)
+    keys = list(_run_keys(tree))
+    assert keys
+    for key in keys:
+        dp_entry(tree, key, DPTable())
+    assert computed
+
+
+@pytest.mark.parametrize("g", RUN_TREES + [build(*args)
+                               for build, args, _ in WITNESS_GOLDENS])
+def test_every_finite_key_below_v_has_a_step(g):
+    # witness reconstruction follows step alone, so every stored key with a
+    # finite value whose chosen vertices lie below v needs an entry, after a
+    # solve and after run keys are asked for through dp_entry
+    cert, tree, table = solve_tree_mcs_detailed(g)
+    runs = list(_run_keys(tree)) if g.n <= 14 else []
+    for key in runs:
+        dp_entry(tree, key, table)
+    for key, val in table.memo.items():
+        if val < INF and key[2] < INF and key[1] >= 1:
+            assert key in table.step, key
+    for key in runs:
+        if table.memo[key] < INF:
+            witness = reconstruct_witness(tree, key, table)
+            assert witness <= prefix_vertices(tree, key[0], key[1])
