@@ -17,9 +17,10 @@ what :func:`blocks` computes.
 Both checkers run one multi-source BFS from ``S`` that carries, per
 vertex, the set of colors among its nearest members: O(n + m) time and
 linear memory per call.  No distances are cached on the graph.
-:func:`parse_graph` builds the sorted adjacency in its one pass over the
-file and hands it to the graph, so a parsed graph never walks its edges
-again to find neighbors.
+:func:`parse_graph` builds the sorted adjacency and counts ``m`` in its one
+pass over the file and hands both to the graph; the graph builds its edge
+set from that adjacency only when ``edges`` is first read, which neither
+checker nor the tree solver does.
 
 Two line-oriented ASCII file formats are handled here (see the README for
 the full grammar):
@@ -67,16 +68,19 @@ class ColoredGraph:
     """Immutable simple undirected graph with a total vertex coloring.
 
     ``color`` is a tuple indexed by vertex id (index 0 is padding), each
-    entry in ``1..c``.  Edges are stored as a frozenset of ``(u, w)`` pairs
-    with ``u < w``.  The sorted adjacency comes from :func:`parse_graph`
-    for a parsed graph and is otherwise computed on first use; connectivity
-    is computed on first use.  Both are cached; hop distances are not
+    entry in ``1..c``.  ``m`` is the edge count, stored by both
+    constructors.  ``edges`` is a frozenset of ``(u, w)`` pairs with
+    ``u < w``: the constructor builds it from its argument, while a graph
+    from :func:`parse_graph` builds it from the sorted adjacency on first
+    read.  The sorted adjacency comes from :func:`parse_graph` for a parsed
+    graph and is otherwise computed on first use; connectivity is computed
+    on first use.  All three are cached; hop distances are not
     (:meth:`hops_from` runs a fresh BFS).  The identity fields never change
     after construction.
     """
 
-    __slots__ = ("n", "c", "edges", "color",
-                 "_adj", "_connected")
+    __slots__ = ("n", "c", "m", "color",
+                 "_edges", "_adj", "_connected")
 
     def __init__(self, n: int, c: int,
                  edges: Iterable[tuple[int, int]], color) -> None:
@@ -99,6 +103,9 @@ class ColoredGraph:
             missing = next((v for v in range(1, n + 1) if v not in color), None)
             if missing is not None:
                 raise ValueError(f"missing color for vertex {missing}")
+            if len(color) > n:      # every vertex has a key, so some key is not one
+                extra = next(v for v in color if v not in range(1, n + 1))
+                raise ValueError(f"color given for vertex {extra!r} outside 1..{n}")
             seq = [color[v] for v in range(1, n + 1)]
         else:
             seq = list(color)
@@ -111,29 +118,37 @@ class ColoredGraph:
                 raise ValueError(f"vertex {v} has color {col} outside 1..{c}")
         self.n = n
         self.c = c
-        self.edges = frozenset(normalized)
+        self.m = len(normalized)
         self.color = (0, *seq)
+        self._edges = frozenset(normalized)
         self._adj = None
         self._connected = None
 
     @classmethod
-    def _from_parts(cls, n: int, c: int, edges: frozenset, color: tuple,
+    def _from_parts(cls, n: int, c: int, m: int, color: tuple,
                     adj: tuple) -> "ColoredGraph":
         """Unchecked constructor for :func:`parse_graph`, which has already
-        validated every field: ``edges`` normalised, ``color`` padded at
-        index 0, ``adj`` the sorted neighbor tuples of ``edges``."""
+        validated every field: ``color`` padded at index 0, ``adj`` the
+        sorted neighbor tuples of a simple graph with ``m`` edges."""
         g = cls.__new__(cls)
         g.n = n
         g.c = c
-        g.edges = edges
+        g.m = m
         g.color = color
+        g._edges = None
         g._adj = adj
         g._connected = None
         return g
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> frozenset:
+        """``(u, w)`` pairs with ``u < w``; a parsed graph builds them here."""
+        edges = self._edges
+        if edges is None:
+            adj = self._adj
+            edges = self._edges = frozenset(
+                (u, w) for u in range(1, self.n + 1) for w in adj[u] if u < w)
+        return edges
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -349,20 +364,68 @@ class Certificate:
 def parse_graph(text: str) -> ColoredGraph:
     """Parse a CCG instance; raises :class:`ParseError` with line numbers.
 
-    One pass over the lines validates them and builds the colors, the edge
-    set and the adjacency lists together.
+    One pass over the lines validates them and builds the colors and the
+    adjacency lists together; the edge set is left to the graph to build
+    if it is ever read.  An id token spelled as ``str(i)`` for ``i`` in
+    ``1..n`` is converted and range-checked by one lookup in a table of
+    those spellings; any other token (``01``, ``+1``, ``1_0``, non-ASCII
+    digits, out-of-range values) takes the ``int()`` path, which checks
+    it in the same order and with the same messages.
     """
     header = None
     n = m = c = 0
+    stride = 1              # an edge {u, w} with u < w is noted as u*stride + w
+    ids: dict[str, int] = {}
     colors: list | defaultdict = []
     adj: list | defaultdict = []
     colored = 0
-    edges: set[tuple[int, int]] = set()
+    seen: set[int] = set()
     lines = text.splitlines()
-    last_line = 0
     for lineno, raw in enumerate(lines, start=1):
-        last_line = lineno
         parts = raw.split()
+        if len(parts) == 3 and header is not None:
+            kind, a, b = parts
+            if kind == "e":
+                u = ids.get(a)
+                w = ids.get(b)
+                if u is None or w is None:
+                    try:
+                        u, w = int(a), int(b)
+                    except ValueError:
+                        raise ParseError(lineno, "edge line fields must be integers") from None
+                    if not (1 <= u <= n and 1 <= w <= n):
+                        raise ParseError(lineno, f"vertex id out of range 1..{n} in edge ({u},{w})")
+                if u < w:
+                    key = u * stride + w
+                elif u > w:
+                    key = w * stride + u
+                else:
+                    raise ParseError(lineno, f"self-loop at vertex {u}")
+                if key in seen:
+                    raise ParseError(lineno, f"duplicate edge ({min(u, w)},{max(u, w)})")
+                if len(seen) == m:
+                    raise ParseError(lineno, f"more than {m} edge lines")
+                seen.add(key)
+                adj[u].append(w)
+                adj[w].append(u)
+                continue
+            if kind == "v":
+                vid = ids.get(a)
+                col = ids.get(b)
+                if vid is None or col is None or col > c:
+                    try:
+                        vid, col = int(a), int(b)
+                    except ValueError:
+                        raise ParseError(lineno, "color line fields must be integers") from None
+                    if not (1 <= vid <= n):
+                        raise ParseError(lineno, f"vertex id {vid} out of range 1..{n}")
+                    if not (1 <= col <= c):
+                        raise ParseError(lineno, f"color id {col} out of range 1..{c}")
+                if colors[vid]:
+                    raise ParseError(lineno, f"duplicate color line for vertex {vid}")
+                colors[vid] = col
+                colored += 1
+                continue
         if not parts or parts[0] == "c":
             continue
         kind = parts[0]
@@ -377,10 +440,12 @@ def parse_graph(text: str) -> ColoredGraph:
             if n < 1 or m < 0 or c < 1:
                 raise ParseError(lineno, f"malformed header counts n={n} m={m} colors={c}")
             header = lineno
+            stride = n + 1
             # A valid file has a color line per vertex, so a header claiming
             # at least as many vertices as the file has lines is already
-            # wrong: it gets sparse maps, never n-sized lists.
+            # wrong: it gets sparse maps, never n-sized lists or an id table.
             if n < len(lines):
+                ids = {str(i): i for i in range(1, n + 1)}
                 colors = [0] * (n + 1)
                 adj = [[] for _ in range(n + 1)]
             else:
@@ -390,55 +455,24 @@ def parse_graph(text: str) -> ColoredGraph:
         if kind == "p":
             raise ParseError(lineno, "duplicate header")
         if kind == "v":
-            if len(parts) != 3:
-                raise ParseError(lineno, "color line must be 'v <id> <color>'")
-            try:
-                vid, col = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(lineno, "color line fields must be integers") from None
-            if not (1 <= vid <= n):
-                raise ParseError(lineno, f"vertex id {vid} out of range 1..{n}")
-            if not (1 <= col <= c):
-                raise ParseError(lineno, f"color id {col} out of range 1..{c}")
-            if colors[vid]:
-                raise ParseError(lineno, f"duplicate color line for vertex {vid}")
-            colors[vid] = col
-            colored += 1
-        elif kind == "e":
-            if len(parts) != 3:
-                raise ParseError(lineno, "edge line must be 'e <u> <w>'")
-            try:
-                u, w = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(lineno, "edge line fields must be integers") from None
-            if not (1 <= u <= n and 1 <= w <= n):
-                raise ParseError(lineno, f"vertex id out of range 1..{n} in edge ({u},{w})")
-            if u == w:
-                raise ParseError(lineno, f"self-loop at vertex {u}")
-            key = (u, w) if u < w else (w, u)
-            if key in edges:
-                raise ParseError(lineno, f"duplicate edge ({key[0]},{key[1]})")
-            if len(edges) == m:
-                raise ParseError(lineno, f"more than {m} edge lines")
-            edges.add(key)
-            adj[u].append(w)
-            adj[w].append(u)
-        else:
-            raise ParseError(lineno, f"unrecognized line type {kind!r}")
-    del lines               # free the line strings before the tuples are built
+            raise ParseError(lineno, "color line must be 'v <id> <color>'")
+        if kind == "e":
+            raise ParseError(lineno, "edge line must be 'e <u> <w>'")
+        raise ParseError(lineno, f"unrecognized line type {kind!r}")
+    last_line = len(lines)
+    del lines, ids          # free the line strings before the tuples are built
     if header is None:
         raise ParseError(max(1, last_line), "missing 'p ccg' header")
     if colored != n:
         missing = next(v for v in range(1, n + 1) if not colors[v])
         raise ParseError(last_line, f"missing color line for vertex {missing}")
-    if len(edges) != m:
-        raise ParseError(last_line, f"expected {m} edge lines, found {len(edges)}")
+    if len(seen) != m:
+        raise ParseError(last_line, f"expected {m} edge lines, found {len(seen)}")
     # n color lines fit in the file, so both are the n-sized lists here
     for nbrs in adj:
         if len(nbrs) > 1:
             nbrs.sort()
-    return ColoredGraph._from_parts(n, c, frozenset(edges), tuple(colors),
-                                    tuple(map(tuple, adj)))
+    return ColoredGraph._from_parts(n, c, m, tuple(colors), tuple(map(tuple, adj)))
 
 
 def format_graph(g: ColoredGraph) -> str:

@@ -8,7 +8,7 @@ from consistent_subset import (Blocks, Certificate, ColoredGraph, ParseError,
                                PreconditionError, blocks, format_graph,
                                format_subset, is_consistent,
                                is_strict_consistent, nearest_neighbors,
-                               parse_graph, parse_subset)
+                               parse_graph, parse_subset, solve_tree_mcs)
 from consistent_subset.graph import UNREACHABLE
 
 from helpers import (RRBB, RRBB_TEXT, path_graph, ref_is_consistent,
@@ -64,6 +64,15 @@ def test_graph_rejects_bad_input():
         ColoredGraph(2, 2, [(1, 2)], [True, 2])
     with pytest.raises(ValueError, match="non-integer color"):
         ColoredGraph(2, 2, [(1, 2)], {1: 1, 2: False})
+    # a color map may not name a vertex the graph does not have
+    with pytest.raises(ValueError, match=r"^color given for vertex 0 outside 1\.\.2$"):
+        ColoredGraph(2, 2, [], {0: 1, 1: 1, 2: 2, 7: 2})
+    with pytest.raises(ValueError, match=r"^color given for vertex 7 outside 1\.\.2$"):
+        ColoredGraph(2, 2, [], {1: 1, 2: 2, 7: 2})
+    with pytest.raises(ValueError, match=r"^color given for vertex -1 outside 1\.\.2$"):
+        ColoredGraph(2, 2, [(1, 2)], {-1: 1, 1: 1, 2: 2})
+    with pytest.raises(ValueError, match=r"^color given for vertex '1' outside 1\.\.2$"):
+        ColoredGraph(2, 2, [(1, 2)], {1: 1, 2: 2, "1": 2})
 
 
 def test_graph_equality_and_hash():
@@ -169,6 +178,28 @@ def _error_case(text, line, name, message):
                 "missing color line for vertex 1"),
     _error_case("p ccg 2 2 1\nv 1 1\nv 2 1\ne 1 2\n", 4,
                 "expected 2 edge lines, found 1", "expected 2 edge lines, found 1"),
+    # complete bodies, so the header is small enough to get n-sized tables:
+    # ids and colors that are not plain spellings of 1..n keep their checks
+    _error_case("p ccg 2 1 1\nv 0 1\nv 2 1\ne 1 2\n", 2, "vertex id 0 out of range",
+                "vertex id 0 out of range 1..2"),
+    _error_case("p ccg 2 1 1\nv 3 9\nv 2 1\ne 1 2\n", 2, "vertex id 3 out of range",
+                "vertex id 3 out of range 1..2"),
+    _error_case("p ccg 2 1 1\nv 1 0\nv 2 1\ne 1 2\n", 2, "color id 0 out of range",
+                "color id 0 out of range 1..1"),
+    _error_case("p ccg 3 2 2\nv 1 3\nv 2 1\nv 3 1\ne 1 2\ne 2 3\n", 2,
+                "color id 3 out of range", "color id 3 out of range 1..2"),
+    _error_case("p ccg 2 1 5\nv 1 6\nv 2 1\ne 1 2\n", 2, "color id 6 out of range",
+                "color id 6 out of range 1..5"),
+    _error_case("p ccg 2 1 1\nv 1 1\nv 2 1\ne 0 2\n", 4, "out of range",
+                "vertex id out of range 1..2 in edge (0,2)"),
+    _error_case("p ccg 2 1 1\nv 1 1\nv 2 1\ne 1 -2\n", 4, "out of range",
+                "vertex id out of range 1..2 in edge (1,-2)"),
+    _error_case("p ccg 2 1 1\nv 1 1\nv 2 1\ne 1 01\n", 4, "self-loop",
+                "self-loop at vertex 1"),
+    _error_case("p ccg 2 2 1\nv 1 1\nv 2 1\ne 1 2\ne 02 +1\n", 5, "duplicate edge",
+                "duplicate edge (1,2)"),
+    _error_case("p ccg 2 1 1\nv 1 1\nv 01 1\ne 1 2\n", 3, "duplicate color line",
+                "duplicate color line for vertex 1"),
 ])
 def test_parse_errors(text, line, message):
     with pytest.raises(ParseError) as exc:
@@ -177,18 +208,66 @@ def test_parse_errors(text, line, message):
     assert str(exc.value) == f"line {line}: {message}"
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("p ccg 2 1 1\nv 1 01\nv 2 +1\ne +1 02\n", path_graph([1, 1])),
+    ("p ccg 10 9 2\n" + "".join(f"v {v} 1\n" for v in range(1, 10)) + "v 1_0 2\n"
+     + "".join(f"e {v} {v + 1}\n" for v in range(1, 9)) + "e 9 1_0\n",
+     path_graph([1] * 9 + [2])),
+    # ARABIC-INDIC DIGIT THREE and FULLWIDTH DIGITs, which int() reads as digits
+    ("p ccg 3 2 2\nv 1 1\nv 2 2\nv \u0663 2\ne 1 2\ne \uff12 \uff13\n",
+     path_graph([1, 2, 2])),
+    # a color above n is fine while it is within the header's color count
+    ("p ccg 2 1 5\nv 1 5\nv 2 1\ne 1 2\n", ColoredGraph(2, 5, [(1, 2)], [5, 1])),
+])
+def test_parse_reads_ids_by_int_rules(text, expected):
+    g = parse_graph(text)
+    assert g == expected
+    assert g.adjacency == expected.adjacency
+
+
+def _peak_bytes(fn) -> int:
+    """Peak traced allocation while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_huge_header_allocates_nothing_per_vertex():
     # A header alone must not size anything by n: the parser fails on the
     # first missing color line, not after building a million empty slots.
-    tracemalloc.start()
-    try:
+    def parse():
         with pytest.raises(ParseError) as exc:
             parse_graph("p ccg 1000000 0 1\n")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert str(exc.value) == "line 1: missing color line for vertex 1"
+        assert str(exc.value) == "line 1: missing color line for vertex 1"
+    peak = _peak_bytes(parse)
     assert peak < 2_000_000, f"parsing a bare header peaked at {peak} bytes"
+
+
+def test_huge_color_count_allocates_nothing_per_color():
+    c = 1_000_000_000_000
+    text = f"p ccg 2 1 {c}\nv 1 {c}\nv 2 1\ne 1 2\n"
+    parsed = []
+    peak = _peak_bytes(lambda: parsed.append(parse_graph(text)))
+    assert parsed[0] == ColoredGraph(2, c, [(1, 2)], [c, 1])
+    assert format_graph(parsed[0]) == text
+    assert peak < 2_000_000, f"parsing a {c}-color header peaked at {peak} bytes"
+
+
+def test_commands_leave_the_edge_set_unbuilt():
+    # verify and solve read the adjacency and m; the edge set is built
+    # only for a caller that reads it
+    text = "p ccg 5 4 2\nv 1 1\nv 2 1\nv 3 2\nv 4 2\nv 5 1\ne 1 2\ne 2 3\ne 3 4\ne 3 5\n"
+    g = parse_graph(text)
+    assert is_consistent(g, (1, 3, 5))
+    assert not is_strict_consistent(g, (1, 3))
+    assert g.is_tree and g.m == 4
+    assert solve_tree_mcs(g).witness == (2, 4)
+    assert g._edges is None
+    assert g.edges == frozenset({(1, 2), (2, 3), (3, 4), (3, 5)})
+    assert g._edges is g.edges
 
 
 def test_format_is_canonical():
@@ -236,9 +315,12 @@ def test_round_trip_any_graph(g, data):
     shuffled = "\n".join([header, *data.draw(st.permutations(body))]) + "\n"
     reachable = all(d != UNREACHABLE for d in g.hops_from(1)[1:])
     for parsed in (parse_graph(text), parse_graph(shuffled)):
+        assert parsed.m == g.m
+        assert parsed.adjacency == g.adjacency
+        assert parsed.edges == g.edges
         assert parsed == g
         assert hash(parsed) == hash(g)
-        assert parsed.adjacency == g.adjacency
+        assert format_graph(parsed) == text
         assert parsed.is_connected == g.is_connected == reachable
         assert parsed.is_tree == g.is_tree
 
