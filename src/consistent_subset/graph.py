@@ -39,7 +39,7 @@ input, empty subsets, enumeration caps...) raise :class:`PreconditionError`.
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -169,33 +169,26 @@ class ColoredGraph:
         return len(self.adjacency[v])
 
     def hops_from(self, source: int) -> list:
-        """BFS hop distances from ``source``; ``UNREACHABLE`` where no path."""
+        """BFS hop distances from ``source``, indexed by vertex id (index 0
+        is padding); ``UNREACHABLE`` where no path."""
+        if not (1 <= source <= self.n):
+            raise PreconditionError(f"vertex {source} not in graph")
         adj = self.adjacency
-        dist: list = [None] * (self.n + 1)
+        dist: list = [UNREACHABLE] * (self.n + 1)
         dist[source] = 0
-        queue = deque((source,))
-        while queue:
-            u = queue.popleft()
+        order = [source]
+        for u in order:
             du = dist[u] + 1
             for w in adj[u]:
-                if dist[w] is None:
+                if dist[w] is UNREACHABLE:
                     dist[w] = du
-                    queue.append(w)
-        return [UNREACHABLE if d is None else d for d in dist]
+                    order.append(w)
+        return dist
 
     @property
     def is_connected(self) -> bool:
         if self._connected is None:
-            adj = self.adjacency
-            seen = bytearray(self.n + 1)
-            seen[1] = 1
-            order = [1]
-            for u in order:
-                for w in adj[u]:
-                    if not seen[w]:
-                        seen[w] = 1
-                        order.append(w)
-            self._connected = len(order) == self.n
+            self._connected = UNREACHABLE not in self.hops_from(1)[1:]
         return self._connected
 
     @property
@@ -230,8 +223,6 @@ def nearest_neighbors(g: ColoredGraph, v: int, S) -> frozenset:
     ``S`` must be nonempty and at least one member reachable from ``v``.
     """
     members = _validated_members(g, S)
-    if not (1 <= v <= g.n):
-        raise PreconditionError(f"vertex {v} not in graph")
     row = g.hops_from(v)
     best = min(row[u] for u in members)
     if best == UNREACHABLE:

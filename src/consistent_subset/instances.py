@@ -72,8 +72,16 @@ def _random_colors(n: int, c: int, rng: SplitMix64) -> list[int]:
     return [rng.below(c) + 1 for _ in range(n)]
 
 
+def _at_least(low: int, **counts: int) -> None:
+    """Reject a count below ``low`` before the first draw."""
+    for name, value in counts.items():
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
 def random_tree(n: int, c: int, seed: int) -> ColoredGraph:
     """Uniformly random labeled tree with i.i.d. uniform colors."""
+    _at_least(1, n=n, c=c)
     rng = SplitMix64(seed)
     edges = _prufer_edges(n, rng)
     return ColoredGraph(n, c, edges, _random_colors(n, c, rng))
@@ -81,6 +89,7 @@ def random_tree(n: int, c: int, seed: int) -> ColoredGraph:
 
 def random_connected_graph(n: int, c: int, seed: int) -> ColoredGraph:
     """Random tree plus each remaining vertex pair with probability 1/2."""
+    _at_least(1, n=n, c=c)
     rng = SplitMix64(seed)
     edges = set(_prufer_edges(n, rng))
     for u in range(1, n + 1):
@@ -92,6 +101,7 @@ def random_connected_graph(n: int, c: int, seed: int) -> ColoredGraph:
 
 def random_set_cover(n: int, m: int, seed: int) -> SetCoverInstance:
     """Random covering system: membership coin flips, gaps patched randomly."""
+    _at_least(1, n=n, m=m)
     rng = SplitMix64(seed)
     sets = [set() for _ in range(m)]
     for j in range(m):
@@ -106,6 +116,8 @@ def random_set_cover(n: int, m: int, seed: int) -> SetCoverInstance:
 
 def random_two_sat(n: int, m: int, seed: int) -> TwoSatFormula:
     """``m`` random 2-literal clauses over ``n`` variables."""
+    _at_least(1, n=n)
+    _at_least(0, m=m)
     rng = SplitMix64(seed)
     clauses = []
     for _ in range(m):

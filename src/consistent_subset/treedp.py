@@ -28,13 +28,13 @@ own color among its nearest chosen vertices; infeasible keys evaluate to
 Recursion.  A key is resolved by case analysis:
 
 1. color tests -- ``v`` itself must see its color among the color sets
-   attaining ``min(din, dext)``, and the prefix must pass the near-outside
-   and far-side bounds below, else ``INF``;
+   attaining ``min(din, dext)``, the prefix must pass the near-outside
+   and far-side bounds below, and every color of ``cin`` must occur at
+   exact depth ``din`` (the exact-depth test), else ``INF``;
 2. ``din == INF`` (nothing chosen inside): once step 1 passes, every
    prefix color lies in ``cext``, so the key is worth 0;
-3. every color of ``cin`` must occur at exact depth ``din``, else
-   ``INF``; at ``din == 0`` this forces ``cin == {color(v)}`` (``v``
-   chosen), the one finite key of ``T_0(v) = {v}``, worth 1;
+3. ``i == 0``: ``T_0(v) = {v}`` realizes only ``din == 0``, where step 1
+   leaves ``cin == {color(v)}`` (``v`` chosen), worth 1;
 4. otherwise split ``din``/``cin`` over the two parts of ``T_i(v)``:
    choose the distance ``da`` and colors ``ca`` seen inside ``T_{i-1}(v)``
    and ``db``/``cb`` inside ``T(v_i)``, subject to ``min(da, db) == din``
@@ -127,12 +127,14 @@ with no pruning at all:
   ``step`` records the landing key either way.
 
 From outside the fill, keys enter the table through ``dp_entry`` alone,
-the root keys included.  The color tests of step 1 run where
-a key is generated: in ``_side_keys`` for scanned sides, in
-``_subkey_pairs`` for the fixed sides of a split, and in ``dp_entry``
-(so a root key, already scanned, runs them twice); a landing key needs
-only the tie test, which ``_run_landing`` runs.  ``_side_keys`` reads
-the prefix's rows once per scan.  The recursion itself starts at step 2.
+the root keys included; it runs all of step 1 (``_admissible``), so a
+root key, already scanned, meets those tests twice.  The fill generates
+only keys that pass them, so the recursion, ``_compute``, runs none and
+starts at step 2.  The near-outside bound, ``v``'s own test and the
+far-side bound live in ``_need``, run once per distance by ``_side_keys``
+and on the fixed sides of a split by ``_subkey_pairs``; both take masks
+within the level at ``din``, so their keys pass the exact-depth test.  A
+landing key keeps its level and needs only ``_run_landing``'s tie test.
 """
 
 from __future__ import annotations
@@ -376,16 +378,18 @@ def _nonempty_submasks(mask: int) -> tuple:
     return tuple(out)
 
 
-def _admissible(tree: RootedTree, v: int, i: int, din, dext, cin: int,
-                cext: int) -> bool:
-    """Color tests that every feasible canonical key passes.
+def _need(tree: RootedTree, v: int, i: int, din, dext, cext: int) -> int:
+    """Colors that the inside mask ``cin`` of a key of ``T_i(v)`` with
+    ``din``/``dext``/``cext`` must hold to pass the near-outside bound,
+    ``v``'s own test and the far-side bound, or -1 when no mask can
+    (``-1 & ~cin`` is never 0).
 
     Near-outside bound: with the outside nearer (``dext < din``), a prefix
     vertex at depth ``k`` with ``2k < din - dext`` sees the outside at
     ``k + dext`` and the inside no nearer than ``din - k``, so it sees the
-    colors ``cext`` alone; every color at those depths must lie in
-    ``cext`` (depth 0 is ``v`` itself).  Otherwise ``v`` must find its
-    color among the sets at ``din`` (and at ``dext`` on a tie).
+    colors ``cext`` alone; every color at those depths (all of the prefix
+    when ``din`` is ``INF``) must lie in ``cext``.  Otherwise ``v`` must
+    find its color among the sets at ``din`` (and at ``dext`` on a tie).
 
     Far-side bound (``din >= 2``; at ``din == 1`` the exact-depth test
     decides the same keys): a vertex at depth ``k`` with
@@ -394,16 +398,26 @@ def _admissible(tree: RootedTree, v: int, i: int, din, dext, cin: int,
     ``cin``.
     """
     if dext < din:
+        near = tree._near[v][i]   # RootedTree.near, read inline: a hot path
         if din == INF:
-            return not tree.near(v, i, INF) & ~cext
-        if tree.near(v, i, (din - dext + 1) // 2) & ~cext:
-            return False
-        k = (din - dext) // 2 + 1
-    elif (cin | (cext if dext == din else 0)) & tree.color_bit[v]:
-        k = 1
+            return -1 if near[-1] & ~cext else 0
+        r = (din - dext + 1) // 2
+        if near[r if r < len(near) else -1] & ~cext:
+            return -1
+        k, need = (din - dext) // 2 + 1, 0
     else:
-        return False
-    return din < 2 or not tree.far(v, i, din, k) & ~cin
+        bit = tree.color_bit[v]
+        k, need = 1, (0 if dext == din and cext & bit else bit)
+    return need | tree.far(v, i, din, k) if din >= 2 else need
+
+
+def _admissible(tree: RootedTree, v: int, i: int, din, dext, cin: int,
+                cext: int) -> bool:
+    """Color tests that every feasible canonical key passes: :func:`_need`
+    and the exact-depth test (every color of ``cin`` occurs at depth
+    ``din``).  The fill generates only keys that pass them."""
+    return (not _need(tree, v, i, din, dext, cext) & ~cin
+            and tree.avail(v, i, din) & cin == cin)
 
 
 def _side_keys(tree: RootedTree, u: int, j: int, d0: int, dext, cext: int):
@@ -413,31 +427,20 @@ def _side_keys(tree: RootedTree, u: int, j: int, d0: int, dext, cext: int):
     :func:`_admissible` (worth ``INF``, never an argmin).
 
     When the empty inside passes the color tests it is yielded alone (see
-    "Empty side"); otherwise it fails them and is not yielded.  Past
-    ``dext`` the near-outside bound only tightens as the distance grows, so
-    the first distance failing it ends the scan.
-
-    The tests of :func:`_admissible` that do not depend on the mask run once
-    per distance; what remains per mask is that it hold ``need``: the
-    colors of the far-side path and, unless the outside covers it,
-    ``color(u)``.
+    "Empty side"); otherwise it fails them and is not yielded.  The masks
+    are the nonempty submasks of each level, so they pass the exact-depth
+    test.  :func:`_need` runs once per distance; it gives -1 only past
+    ``dext``, where its near-outside bound only tightens, so -1 ends the scan.
     """
     near, top, pref = tree._near[u][j], tree._top[u][j], tree._pref[u][j]
-    if not near[-1] & ~cext:
+    if not near[-1] & ~cext:    # _need at din == INF, inline: a hot path
         yield (u, j, INF, dext, 0, cext)
         return
-    bit = tree.color_bit[u]
     submasks = tree._submasks
     for d in range(d0, top + 1):
-        if d > dext:
-            r = (d - dext + 1) // 2
-            if near[r if r < len(near) else -1] & ~cext:
-                return
-            k, need = (d - dext) // 2 + 1, 0
-        else:
-            k, need = 1, (0 if dext == d and cext & bit else bit)
-        if d >= 2:
-            need |= tree.far(u, j, d, k)
+        need = _need(tree, u, j, d, dext, cext)
+        if need < 0:
+            return
         level = pref[top - d]
         masks = submasks.get(level)
         if masks is None:
@@ -462,12 +465,14 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
     branch yields.  Where one side stays fixed, the other side's keys come
     from the one scan :func:`_side_keys`, which runs their color tests.
 
-    ``key`` must pass :func:`_admissible`: where a left subkey keeps the
-    key's nearest distance and outside, its near-outside and own tests
-    follow from the key's and are not repeated.  Its far-side test does
-    not, since ``T_{i-1}(v)`` has its own LCA at each level and ``ca`` may
-    be smaller than ``cin``, so those left keys are checked against it
-    here, and the fixed child keys are passed through :func:`_admissible`.
+    ``key`` must pass :func:`_admissible`.  Every subkey then passes the
+    exact-depth test: its mask lies within ``la`` or ``ra``, the colors of
+    ``cin`` at that depth on its side.  Where a left subkey keeps the key's
+    nearest distance and outside, its near-outside and own tests follow
+    from the key's and are not repeated.  Its far-side test does not, since
+    ``T_{i-1}(v)`` has its own LCA at each level and ``ca`` may be smaller
+    than ``cin``, so those left keys are checked against it here, and the
+    fixed child keys against :func:`_need`.
 
     A right key of an unchosen one-child child (finite ``din >= 1``) is
     yielded landed (see :func:`_run_landing`), or as ``None`` when its
@@ -481,10 +486,16 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
     land = run and din >= 2                   # right keys at din - 1 >= 1 land
     la = tree.avail(v, i - 1, din) & cin
     ra = tree.avail(child, eta, din - 1) & cin
-    # colors that a left key attaining din must hold (far-side bound)
-    fa = tree.far(v, i - 1, din, (din - dmin) // 2 + 1) if la and din >= 2 else 0
-    # both sides attain din; distribute each color of cin left/right/both
-    if la and ra and la | ra == cin and not fa & ~la:
+    # colors a left key attaining din must hold: its near-outside and own
+    # tests pass under cin | cext, as the key's do, leaving its far side
+    fa = _need(tree, v, i - 1, din, dmin, cin | cext) if la and din >= 2 else 0
+    # a fixed child key attaining din - 1 sees the outside at dmin + 1
+    # (canonicalized), the same in the first two branches
+    rx, ry = (dmin + 1, cext) if dmin <= din - 2 else (INF, 0)
+    rn = _need(tree, child, eta, din - 1, rx, ry) if ra else -1
+    # both sides attain din; distribute each color of cin, all in la | ra,
+    # left/right/both
+    if la and ra and not fa & ~la:
         tied = cext if dext == din else 0
         options = []
         rest = cin
@@ -504,28 +515,20 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
             for a, b in picks:
                 ca |= a
                 cb |= b
-            if ca and cb:
-                if dmin < din:
-                    left = (v, i - 1, din, dmin, ca, cext)
-                    cy = cext
-                else:
-                    left = (v, i - 1, din, din, ca, cb | tied)
-                    cy = ca | tied
-                right = ((child, eta, din - 1, dmin + 1, cb, cy) if dmin <= din - 2
-                         else (child, eta, din - 1, INF, cb, 0))
-                if _admissible(tree, *right):
-                    yield left, _run_landing(tree, right) if land else right
+            if ca and cb and not rn & ~cb:
+                left = ((v, i - 1, din, dmin, ca, cext) if dmin < din
+                        else (v, i - 1, din, din, ca, cb | tied))
+                right = (child, eta, din - 1, rx, cb, ry)
+                yield left, _run_landing(tree, right) if land else right
     # only the child side attains din; the left part is farther (or empty),
     # so the child's key is fixed and the left sees the outside at `dmin`
-    if ra == cin:
+    if ra == cin and not rn & ~cin:
         cx = (cin if dmin == din else 0) | (cext if dext == dmin else 0)
-        right = ((child, eta, din - 1, dext + 1, cin, cext) if dext <= din - 2
-                 else (child, eta, din - 1, INF, cin, 0))
-        if _admissible(tree, *right):
-            if land:
-                right = _run_landing(tree, right)
-            for left in _side_keys(tree, v, i - 1, din + 1, dmin, cx):
-                yield left, right
+        right = (child, eta, din - 1, rx, cin, ry)
+        if land:
+            right = _run_landing(tree, right)
+        for left in _side_keys(tree, v, i - 1, din + 1, dmin, cx):
+            yield left, right
     # only the left part attains din; the child side is farther (or empty),
     # so the left key is fixed and the child sees the outside at `dmin + 1`
     if la == cin and not fa & ~cin:
@@ -594,22 +597,19 @@ def dp_entry(tree: RootedTree, key: tuple, table: DPTable):
 
 
 def _compute(tree: RootedTree, key: tuple, table: DPTable):
-    """Value of a key that passes :func:`_admissible` and is no run key.
+    """Value of a key that passes :func:`_admissible` and is no run key;
+    it runs no color test, as every key that reaches it passes them.
 
     :func:`_subkey_pairs` yields right subkeys already landed (``None`` is
     worth ``INF``), so ``step`` records a landing key as the argmin's right
     part.  A left subkey is never a run key: under a one-child ``v`` it is
     a key of ``T_0(v)``.
     """
-    v, i, din, _dext, cin, _cext = key
+    _v, i, din = key[:3]
     if din == INF:
         return 0  # nothing chosen inside, and every prefix color is in cext
-    # din must be realizable by colors cin at that exact depth; at din == 0
-    # that leaves cin == {color(v)}, v chosen
-    if (tree.avail(v, i, din) & cin) != cin:
-        return INF
     if i == 0:
-        return 1  # only din == 0 is realizable in {v}
+        return 1  # {v} realizes only din == 0, with cin == {color(v)}
     memo = table.memo
     best = INF
     for left_key, right_key in _subkey_pairs(tree, key):

@@ -342,6 +342,13 @@ def test_distance_unreachable():
     assert math.isinf(disc.hops_from(3)[1])
 
 
+@pytest.mark.parametrize("source", [0, -1, 5])
+def test_hops_from_rejects_a_vertex_outside_the_graph(source):
+    # RRBB has 4 vertices; -1 would index from the end, 0 is padding
+    with pytest.raises(PreconditionError, match=f"^vertex {source} not in graph$"):
+        RRBB.hops_from(source)
+
+
 @given(connected_graphs())
 def test_distance_axioms(g):
     verts = range(1, g.n + 1)
@@ -372,8 +379,11 @@ def test_nearest_neighbors_validation():
         nearest_neighbors(RRBB, 1, set())
     with pytest.raises(PreconditionError):
         nearest_neighbors(RRBB, 1, {9})
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^vertex 9 not in graph$"):
         nearest_neighbors(RRBB, 9, {1})
+    # S is checked before v
+    with pytest.raises(PreconditionError, match="^subset must be nonempty$"):
+        nearest_neighbors(RRBB, 9, set())
     disc = ColoredGraph(3, 1, [(1, 2)], {1: 1, 2: 1, 3: 1})
     with pytest.raises(PreconditionError):
         nearest_neighbors(disc, 3, {1})

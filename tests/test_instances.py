@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from consistent_subset import (SplitMix64, random_connected_graph,
@@ -104,3 +105,16 @@ def test_random_two_sat_shape():
                 assert 1 <= var <= n
                 assert isinstance(positive, bool)
     assert random_two_sat(3, 4, 2) == random_two_sat(3, 4, 2)
+
+
+@pytest.mark.parametrize("make,args,name", [
+    (random_tree, (0, 1), "n"), (random_tree, (3, 0), "c"),
+    (random_connected_graph, (0, 1), "n"), (random_connected_graph, (3, 0), "c"),
+    (random_set_cover, (0, 2), "n"), (random_set_cover, (3, 0), "m"),
+    (random_two_sat, (0, 2), "n"), (random_two_sat, (2, -1), "m"),
+])
+def test_generators_reject_bad_counts(make, args, name):
+    # these used to raise IndexError or ZeroDivisionError mid-draw, or (a
+    # negative clause count) return an empty formula
+    with pytest.raises(ValueError, match=f"^{name} must be at least"):
+        make(*args, 7)

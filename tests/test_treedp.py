@@ -766,6 +766,41 @@ def test_no_run_key_reaches_compute(g, monkeypatch):
 
 @pytest.mark.parametrize("g", RUN_TREES + [build(*args)
                                for build, args, _ in WITNESS_GOLDENS])
+def test_keys_reaching_compute_pass_the_exact_depth_test(g, monkeypatch):
+    # _compute runs no color test: every key the fill builds takes its
+    # inside colors from the level at its inside distance
+    compute = treedp._compute
+    computed = []
+
+    def checked(tree, key, table):
+        v, i, din, _dext, cin, _cext = key
+        assert tree.avail(v, i, din) & cin == cin, key
+        computed.append(key)
+        return compute(tree, key, table)
+
+    monkeypatch.setattr(treedp, "_compute", checked)
+    solve_tree_mcs_detailed(g)
+    assert computed
+
+
+def test_dp_entry_runs_the_exact_depth_test():
+    # a key from outside the fill may name a color absent at its inside
+    # distance.  Each key here passes v's own test (red is in cin), and at
+    # din <= 1 with no outside neither bound applies.  On the star with a
+    # red centre and blue leaves, only red lies at depth 0 and only blue at
+    # depth 1; _compute, which runs no color test, would count a key of
+    # T_0(1) = {1} as choosing 1.
+    tree = root_tree(star_graph(RED, [BLUE, BLUE]), 1)
+    for key in [(1, 0, 0, INF, RBIT | BBIT, 0), (1, 0, 1, INF, RBIT, 0),
+                (1, 2, 1, INF, RBIT | BBIT, 0)]:
+        v, i, din, _dext, cin, _cext = key
+        assert tree.color_bit[v] & cin
+        assert tree.avail(v, i, din) & cin != cin
+        assert dp_entry(tree, key, DPTable()) == INF, key
+
+
+@pytest.mark.parametrize("g", RUN_TREES + [build(*args)
+                               for build, args, _ in WITNESS_GOLDENS])
 def test_every_finite_key_below_v_has_a_step(g):
     # witness reconstruction follows step alone, so every stored key with a
     # finite value whose chosen vertices lie below v needs an entry, after a
