@@ -13,15 +13,17 @@ nearest members are the first layer that meets the subset, so the subset
 is consistent when, for every vertex, that layer meets its own class, and
 strict consistent when it lies inside it.
 
-One cardinality is enumerated by a depth-first walk over ascending vertex
-tuples.  The walk keeps an explicit stack with at most one ``(next
-vertex, prefix mask, missed groups)`` frame per pick, so it never
-recurses.  A prefix ``chosen`` whose last pick is ``v`` can only be
-completed by a set ``T`` of vertices after ``v``, the mask ``future``;
-the prefix is dropped, with every completion, as soon as no completion
-can pass.  Since only tuples that cannot pass are skipped, the first
-passing tuple, the optimum and the witness are those of plain
-enumeration.  Two tests drop prefixes:
+One cardinality k is enumerated by a depth-first walk over ascending
+vertex tuples.  The walk keeps its ``(next vertex, prefix mask, missed
+groups, sibling)`` frames on an explicit stack, so it never recurses.  A frame stands for the node ``chosen = prefix | v``,
+and ``left = k - |chosen|`` picks remain after it.  A prefix ``chosen``
+whose last pick is ``v`` can only be completed by a set ``T`` of vertices
+after ``v``, the mask ``future``; the prefix is dropped, with every
+completion, as soon as no completion can pass.  Since only tuples that
+cannot pass are skipped, the first passing tuple, the optimum and the
+witness are those of plain enumeration.
+
+Two tests drop prefixes:
 
 - Groups.  A consistent subset contains a vertex of every nonempty color
   class, and a strict consistent subset meets every block.  These groups
@@ -47,6 +49,28 @@ enumeration.  Two tests drop prefixes:
   of the subset ``chosen``, so one test serves prefixes and full tuples.
   The test is a conjunction over the vertices, so the order in which it
   scans them changes only its cost.
+
+The walks of successive sizes share their work.  ``future`` depends on
+``v`` alone, so a node's verdicts change with k only through ``left``,
+which grows by one from each size to the next.  A node is cut for good,
+at this size and every larger one, when it has no room (``v + left >
+n``), when a missed group has no vertex after ``v``, or when the layer
+test fails with ``left > 0``.  It is cut for this size only when it misses
+more groups than it has picks left, or when ``left == 0`` and the full
+tuple fails.  The size cuts, in walk order, are the frontier that the walk
+of the next size starts from, and a frontier frame pushes no sibling: the
+earlier walk pushed it already.  A node expanded at size k is expanded
+again at k + 1 unless it has lost its room, and then none of its
+descendants has room either, since ``v + left`` never falls from a node
+to its children or later siblings.  So each node that a walk from the
+empty prefix would test at size k + 1 was expanded before with the same
+verdict, is a frontier node, or lies below one, and the walk meets the
+same full tuples.  It meets them in the same order, because the frontier is in
+lexicographic order, no frontier node is a prefix of another, and the
+stack puts each frontier node's subtree before the next frontier node.
+So the first passing tuple cannot move, and the layer test of a prefix
+with ``left > 0`` runs at most once per solve.  The price is memory: the
+frontier holds every node that a size cut short.
 
 The witness is checked once more with the graph module's BFS checker
 before it is returned, and a disagreement raises ``AssertionError``.
@@ -134,32 +158,44 @@ def _minimum_certificate(g: ColoredGraph, variant: str, cap: int) -> Certificate
         gone[v] = ~groups
         groups |= gbit[v]
     full = (2 << g.n) - 2
+    # frames (next vertex, prefix mask, missed groups, sibling): the walk of
+    # one size starts from the frames the walk of the size before cut short,
+    # in walk order
+    frontier = [(1, 0, groups, True)]
     for k in range(max(1, groups.bit_count()), g.n + 1):
-        # at most one (next vertex, prefix mask, missed groups) frame per pick;
         # ascending tuples come off the stack in the order of vertex tuples
-        stack = [(1, 0, groups)]
+        frontier.reverse()
+        stack, frontier = frontier, []
         while stack:
-            v, prefix, missed = stack.pop()
+            frame = stack.pop()
+            v, prefix, missed, sibling = frame
             left = k - prefix.bit_count() - 1  # picks still to make after v
-            # the sibling v + 1 needs room for its picks, and a missed group
-            # with no vertex after v fails it and every later sibling
-            if v < g.n - left and not missed & gone[v]:
-                stack.append((v + 1, prefix, missed))
+            if v + left > g.n:
+                continue  # no room, for v or any later sibling
+            # a frontier frame's siblings were walked at an earlier size, and
+            # a missed group with no vertex after v fails every later sibling
+            if sibling and not missed & gone[v]:
+                stack.append((v + 1, prefix, missed, True))
             miss = missed & ~gbit[v]
-            if miss & gone[v] or miss.bit_count() > left:
+            if miss & gone[v]:
                 continue
-            chosen = prefix | 1 << v
-            future = full & -(2 << v) if left else 0
-            if not _layers_pass(table, chosen, strict, future):
-                continue
-            if left:
-                stack.append((v + 1, chosen, miss))
-                continue
-            witness = tuple(u for u in vertices if chosen >> u & 1)
-            if not _consistency_scan(g, witness, strict):
-                raise AssertionError(
-                    f"layer-mask test and checker disagree on {witness}")
-            return Certificate(variant, witness, k, "brute-force-optimal")
+            if miss.bit_count() <= left:
+                chosen = prefix | 1 << v
+                future = full & -(2 << v) if left else 0
+                if _layers_pass(table, chosen, strict, future):
+                    if left:
+                        stack.append((v + 1, chosen, miss, True))
+                        continue
+                    witness = tuple(u for u in vertices if chosen >> u & 1)
+                    if not _consistency_scan(g, witness, strict):
+                        raise AssertionError(
+                            f"layer-mask test and checker disagree on {witness}")
+                    return Certificate(variant, witness, k, "brute-force-optimal")
+                if left:
+                    continue  # fails with any larger left too
+            # too many missed groups, or a full tuple that fails: the frame
+            # may pass at the next size
+            frontier.append((v, prefix, missed, False) if sibling else frame)
     raise AssertionError("unreachable: the full vertex set is always consistent")
 
 

@@ -64,6 +64,13 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_vertex(g: ColoredGraph, v) -> bool:
+    """A vertex id of ``g``: an ``int`` in ``1..n``.  A float would fail
+    later as a list index, and ``True`` would be taken as vertex 1 (``False``
+    fails the range test)."""
+    return v is not True and isinstance(v, int) and 1 <= v <= g.n
+
+
 class ColoredGraph:
     """Immutable simple undirected graph with a total vertex coloring.
 
@@ -171,7 +178,7 @@ class ColoredGraph:
     def hops_from(self, source: int) -> list:
         """BFS hop distances from ``source``, indexed by vertex id (index 0
         is padding); ``UNREACHABLE`` where no path."""
-        if not (1 <= source <= self.n):
+        if not _is_vertex(self, source):
             raise PreconditionError(f"vertex {source} not in graph")
         adj = self.adjacency
         dist: list = [UNREACHABLE] * (self.n + 1)
@@ -211,8 +218,10 @@ def _validated_members(g: ColoredGraph, S) -> frozenset:
     members = frozenset(S)
     if not members:
         raise PreconditionError("subset must be nonempty")
+    n = g.n
     for v in members:
-        if not (1 <= v <= g.n):
+        # _is_vertex, inlined because it runs once per member
+        if v is True or not isinstance(v, int) or not 1 <= v <= n:
             raise PreconditionError(f"subset vertex {v} not in graph")
     return members
 

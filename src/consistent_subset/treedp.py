@@ -143,7 +143,7 @@ import itertools
 import sys
 from collections import Counter
 
-from .graph import Certificate, ColoredGraph, PreconditionError
+from .graph import Certificate, ColoredGraph, PreconditionError, _is_vertex
 
 INF = float("inf")
 
@@ -179,7 +179,7 @@ class RootedTree:
     def __init__(self, g: ColoredGraph, root: int):
         if not g.is_tree:
             raise PreconditionError("graph must be a tree (connected, n-1 edges)")
-        if not (1 <= root <= g.n):
+        if not _is_vertex(g, root):
             raise PreconditionError(f"root {root} not in graph")
         self.graph = g
         self.root = root

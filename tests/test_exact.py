@@ -194,14 +194,21 @@ def test_prefix_test_is_sound():
     assert pruned > 10_000
 
 
+# (graph, solver, cap, most layer tests, most rows scanned)
+WORK_GUARD_CASES = [
+    (path_graph([1, 2] * 10), brute_force_mcs, 20, 410, 1_170),
+    (random_tree(20, 4, 1), brute_force_mcs, 20, 12_400, 43_000),
+    (random_tree(19, 2, 5), brute_force_mscs, 20, 750, 4_750),
+    (path_graph([1, 2] * 40), brute_force_mcs, 80, 6_900, 18_000),
+]
+
+
 def test_layer_test_work_guard(monkeypatch):
-    # layer tests and vertex rows scanned, not time: enumerating every
-    # k-subset made 1,046,529 tests on the alternating path, 903,055 on the
-    # first tree and 1,517 on the second tree.  Each bound leaves about 10%
-    # over today's count: 1,511, 26,236 and 1,164 tests (the last is 5,137
-    # without the missed groups' test against the future mask), scanning
-    # 7,942, 151,936 and 8,616 rows (11,386, 244,793 and 14,099 when a
-    # failing row stays in place).
+    # layer tests and vertex rows scanned, not time: on the 20-vertex
+    # alternating path, enumerating every k-subset made 1,046,529 tests and
+    # restarting each size's walk from the empty prefix 1,511.  Each bound
+    # leaves about 10% over today's count: 371, 11,214, 675 and 6,281
+    # tests, scanning 1,062, 39,017, 4,301 and 16,302 rows.
     layers_pass = exact._layers_pass
     layer_table = exact._layer_table
     calls = [0]
@@ -220,14 +227,36 @@ def test_layer_test_work_guard(monkeypatch):
     monkeypatch.setattr(exact, "_layers_pass", counted)
     monkeypatch.setattr(exact, "_layer_table", lambda g: [
         (CountedLayers(layers), own) for layers, own in layer_table(g)])
-    for g, solver, most, most_rows in (
-            (path_graph([1, 2] * 10), brute_force_mcs, 1_650, 8_750),
-            (random_tree(20, 4, 1), brute_force_mcs, 29_000, 167_000),
-            (random_tree(19, 2, 5), brute_force_mscs, 1_300, 9_500)):
+    for g, solver, cap, most, most_rows in WORK_GUARD_CASES:
         calls[0] = rows[0] = 0
-        solver(g)
+        solver(g, cap=cap)
         assert calls[0] <= most
         assert rows[0] <= most_rows
+
+
+def test_no_layer_test_repeats_within_a_solve(monkeypatch):
+    # a prefix with picks left is tested against the vertices after its
+    # last pick whatever the size, and a full tuple only at its own size,
+    # so each (chosen, future) pair needs testing once per solve
+    layers_pass = exact._layers_pass
+    seen = set()
+    repeats = []
+
+    def once(table, chosen, strict, future):
+        if (chosen, future) in seen:
+            repeats.append((chosen, future))
+        seen.add((chosen, future))
+        return layers_pass(table, chosen, strict, future)
+
+    monkeypatch.setattr(exact, "_layers_pass", once)
+    solves = [(g, solver, cap) for g, solver, cap, *_ in WORK_GUARD_CASES]
+    for build, args, *_ in BRUTE_WITNESS_GOLDENS:
+        g = build(*args)
+        solves += [(g, brute_force_mcs, 20), (g, brute_force_mscs, 20)]
+    for g, solver, cap in solves:
+        seen.clear()
+        solver(g, cap=cap)
+        assert len(seen) > 1 and not repeats, (g, solver.__name__, repeats[:3])
 
 
 def test_brute_force_never_recurses():

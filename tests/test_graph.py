@@ -342,9 +342,10 @@ def test_distance_unreachable():
     assert math.isinf(disc.hops_from(3)[1])
 
 
-@pytest.mark.parametrize("source", [0, -1, 5])
+@pytest.mark.parametrize("source", [0, -1, 5, 1.5, 2.0, True])
 def test_hops_from_rejects_a_vertex_outside_the_graph(source):
-    # RRBB has 4 vertices; -1 would index from the end, 0 is padding
+    # RRBB has 4 vertices; -1 would index from the end, 0 is padding, a
+    # float is no list index, and True would be taken as vertex 1
     with pytest.raises(PreconditionError, match=f"^vertex {source} not in graph$"):
         RRBB.hops_from(source)
 
@@ -381,6 +382,8 @@ def test_nearest_neighbors_validation():
         nearest_neighbors(RRBB, 1, {9})
     with pytest.raises(PreconditionError, match="^vertex 9 not in graph$"):
         nearest_neighbors(RRBB, 9, {1})
+    with pytest.raises(PreconditionError, match=r"^vertex 2\.0 not in graph$"):
+        nearest_neighbors(RRBB, 2.0, {1})
     # S is checked before v
     with pytest.raises(PreconditionError, match="^subset must be nonempty$"):
         nearest_neighbors(RRBB, 9, set())
@@ -409,6 +412,15 @@ def test_checker_validation():
         is_consistent(disc, {1})
     with pytest.raises(PreconditionError):
         is_strict_consistent(disc, {1})
+
+
+@pytest.mark.parametrize("members,bad", [([5], "5"), ([True, 2], "True"),
+                                         ([2.0], "2.0"), ([1, 3.0], "3.0")])
+def test_checkers_reject_a_member_that_is_not_a_vertex(members, bad):
+    for checker in (is_consistent, is_strict_consistent):
+        with pytest.raises(PreconditionError,
+                           match=f"^subset vertex {bad} not in graph$"):
+            checker(RRBB, members)
 
 
 @given(connected_graphs(), st.data())

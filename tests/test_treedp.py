@@ -63,6 +63,13 @@ def test_root_rejects_non_tree():
         root_tree(RRBB, 9)
 
 
+@pytest.mark.parametrize("root", [0, 5, 1.5, 2.0, True])
+def test_root_rejects_a_root_that_is_not_a_vertex(root):
+    # a float is no list index, and True would be taken as vertex 1
+    with pytest.raises(PreconditionError, match=f"^root {root} not in graph$"):
+        root_tree(RRBB, root)
+
+
 def test_prefix_and_subtree_vertices():
     t = root_tree(RRBB, 2)
     assert prefix_vertices(t, 3, t.eta(3)) == frozenset({3, 4})
