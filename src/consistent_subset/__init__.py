@@ -24,7 +24,7 @@ from .reductions import (Interval, IntervalInstance, ReductionMetadata,
                          interval_cover_certificate, intervals_to_graph,
                          max2sat_to_tree, parse_cnf2, parse_intervals,
                          parse_set_cover, planar_ds_to_mscs,
-                         predicted_interval_edges, set_cover_to_mscs)
+                         set_cover_to_mscs)
 from .treedp import (DEFAULT_COLOR_CAP, DPTable, RootedTree, dp_entry,
                      reconstruct_witness, root_tree, solve_tree_mcs,
                      solve_tree_mcs_detailed)
@@ -46,7 +46,7 @@ __all__ = [
     "min_dominating_set", "min_set_cover", "min_vertex_cover",
     "nearest_neighbors", "parse_cnf2", "parse_graph", "parse_intervals",
     "parse_set_cover", "parse_subset", "planar_ds_to_mscs",
-    "predicted_interval_edges", "random_connected_graph", "random_set_cover",
+    "random_connected_graph", "random_set_cover",
     "random_tree", "random_two_sat", "reconstruct_witness", "root_tree",
     "set_cover_to_mscs", "solve_tree_mcs", "solve_tree_mcs_detailed",
 ]

@@ -64,6 +64,15 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _records(text: str):
+    """``(line number, fields)`` of every line that is not blank or a ``c``
+    comment; line numbers are 1-based."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if parts and parts[0] != "c":
+            yield lineno, parts
+
+
 def _is_vertex(g: ColoredGraph, v) -> bool:
     """A vertex id of ``g``: an ``int`` in ``1..n``.  A float would fail
     later as a list index, and ``True`` would be taken as vertex 1 (``False``
@@ -486,12 +495,7 @@ def format_graph(g: ColoredGraph) -> str:
 def parse_subset(text: str, n: int) -> tuple[int, ...]:
     """Parse a one-line subset file against a graph with ``n`` vertices."""
     chosen = None
-    last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
-        parts = raw.split()
-        if not parts or parts[0] == "c":
-            continue
+    for lineno, parts in _records(text):
         if parts[0] != "s":
             raise ParseError(lineno, "expected subset line 's <id> <id> ...'")
         if chosen is not None:
@@ -510,7 +514,7 @@ def parse_subset(text: str, n: int) -> tuple[int, ...]:
                 raise ParseError(lineno, f"vertex id {x} out of range 1..{n}")
         chosen = tuple(ids)
     if chosen is None:
-        raise ParseError(max(1, last_line), "missing subset line")
+        raise ParseError(max(1, len(text.splitlines())), "missing subset line")
     return chosen
 
 

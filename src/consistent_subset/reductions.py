@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .graph import (Certificate, ColoredGraph, ParseError, PreconditionError)
+from .graph import (Certificate, ColoredGraph, ParseError, PreconditionError,
+                    _is_int, _records)
 
 
 # --------------------------------------------------------------------------
@@ -53,7 +54,7 @@ class TwoSatFormula:
             if len(clause) != 2:
                 raise ValueError("every clause must have exactly two literals")
             for var, positive in clause:
-                if not (1 <= var <= self.n):
+                if not (_is_int(var) and 1 <= var <= self.n):
                     raise ValueError(f"variable {var} out of range 1..{self.n}")
                 if not isinstance(positive, bool):
                     raise ValueError("literal polarity must be a bool")
@@ -71,12 +72,7 @@ def parse_cnf2(text: str) -> TwoSatFormula:
     """DIMACS CNF restricted to 2-literal clauses, one clause per line."""
     n = m = None
     clauses = []
-    last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
-        parts = raw.split()
-        if not parts or parts[0] == "c":
-            continue
+    for lineno, parts in _records(text):
         if parts[0] == "p":
             if n is not None:
                 raise ParseError(lineno, "duplicate header")
@@ -108,8 +104,9 @@ def parse_cnf2(text: str) -> TwoSatFormula:
         clauses.append(tuple(clause))
         if len(clauses) > m:
             raise ParseError(lineno, f"more than {m} clause lines")
+    last_line = max(1, len(text.splitlines()))
     if n is None:
-        raise ParseError(max(1, last_line), "missing 'p cnf' header")
+        raise ParseError(last_line, "missing 'p cnf' header")
     if len(clauses) != m:
         raise ParseError(last_line, f"expected {m} clauses, found {len(clauses)}")
     return TwoSatFormula(n, tuple(clauses))
@@ -130,7 +127,7 @@ class SetCoverInstance:
         union = set()
         for s in self.sets:
             for e in s:
-                if not (1 <= e <= self.n):
+                if not (_is_int(e) and 1 <= e <= self.n):
                     raise ValueError(f"element {e} out of range 1..{self.n}")
             union |= set(s)
         if union != set(range(1, self.n + 1)):
@@ -145,12 +142,7 @@ def parse_set_cover(text: str) -> SetCoverInstance:
     """Header ``p sc <n> <m>`` then ``m`` lines ``s <index> <elem> ...``."""
     n = m = None
     found: dict[int, frozenset] = {}
-    last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
-        parts = raw.split()
-        if not parts or parts[0] == "c":
-            continue
+    for lineno, parts in _records(text):
         if parts[0] == "p":
             if n is not None:
                 raise ParseError(lineno, "duplicate header")
@@ -182,8 +174,9 @@ def parse_set_cover(text: str) -> SetCoverInstance:
             if not (1 <= e <= n):
                 raise ParseError(lineno, f"element {e} out of range 1..{n}")
         found[idx] = frozenset(elems)
+    last_line = max(1, len(text.splitlines()))
     if n is None:
-        raise ParseError(max(1, last_line), "missing 'p sc' header")
+        raise ParseError(last_line, "missing 'p sc' header")
     if len(found) != m:
         missing = next(j for j in range(1, m + 1) if j not in found)
         raise ParseError(last_line, f"missing set line for index {missing}")
@@ -274,25 +267,17 @@ class TreeReductionLayout:
     center: tuple          # (v1, v2, v3)
 
     def roles(self):
-        for i in range(1, self.n + 1):
-            for a in range(1, 5):
-                yield f"x{i}^{a}", self.pos_path[(i, a)]
-            for a in range(1, 5):
-                yield f"xbar{i}^{a}", self.neg_path[(i, a)]
-            for j in range(1, self.M + 1):
-                yield f"s{i}^{j}", self.pos_stab[(i, j)]
-            for j in range(1, self.M + 1):
-                yield f"sbar{i}^{j}", self.neg_stab[(i, j)]
-        for i in range(1, self.m + 1):
-            for a in range(1, 8):
-                yield f"y{i}^{a}", self.left_path[(i, a)]
-            for a in range(1, 8):
-                yield f"z{i}^{a}", self.right_path[(i, a)]
-            for a in range(1, 8):
-                yield f"w{i}^{a}", self.clause_path[(i, a)]
-        yield "v1", self.center[0]
-        yield "v2", self.center[1]
-        yield "v3", self.center[2]
+        variable = (("x", self.pos_path, 4), ("xbar", self.neg_path, 4),
+                    ("s", self.pos_stab, self.M), ("sbar", self.neg_stab, self.M))
+        clause = (("y", self.left_path, 7), ("z", self.right_path, 7),
+                  ("w", self.clause_path, 7))
+        for total, parts in ((self.n, variable), (self.m, clause)):
+            for i in range(1, total + 1):
+                for name, part, count in parts:
+                    for a in range(1, count + 1):
+                        yield f"{name}{i}^{a}", part[(i, a)]
+        for a, vid in enumerate(self.center, start=1):
+            yield f"v{a}", vid
 
 
 def max2sat_to_tree(f: TwoSatFormula, M: int | None = None):
@@ -315,90 +300,48 @@ def max2sat_to_tree(f: TwoSatFormula, M: int | None = None):
             f"M={M} is too small for the optimum to be exactly N(k); "
             f"need n*(M+2)+2m+1 < (n+1)*M", stacklevel=2)
 
-    lit_color = {}
-    for i in range(1, n + 1):
-        lit_color[(i, True)] = 2 * i - 1
-        lit_color[(i, False)] = 2 * i
-    stab_color = {(i, j): 2 * n + (i - 1) * M + j
-                  for i in range(1, n + 1) for j in range(1, M + 1)}
-    clause_color = {i: 2 * n + n * M + i for i in range(1, m + 1)}
-    center_color = 2 * n + n * M + m + 1
+    colors: list[int] = []         # vertex v has colour colors[v - 1]
+    edges: list[tuple[int, int]] = []
+
+    def run(roles, key, count, color, hub=None):
+        """``count`` new vertices as ``roles[(key, 1..count)]``, joined as a
+        path of colour ``color``; with a ``hub``, each joins the hub instead
+        and they take colours ``color, color+1, ...`` (the stabilizers)."""
+        for a in range(1, count + 1):
+            vid = roles[(key, a)] = len(colors) + 1
+            colors.append(color if hub is None else color + a - 1)
+            if hub or a > 1:
+                edges.append((hub or vid - 1, vid))
 
     pos_path, neg_path, pos_stab, neg_stab = {}, {}, {}, {}
-    left_path, right_path, clause_path = {}, {}, {}
-    colors: dict[int, int] = {}
-    edges: list[tuple[int, int]] = []
-    nxt = 1
-
-    def take():
-        nonlocal nxt
-        vid = nxt
-        nxt += 1
-        return vid
-
+    left_path, right_path, clause_path, center = {}, {}, {}, {}
+    # colours: literal x_i is 2i-1 and its negation 2i; then one per
+    # stabilizer pair (both twins share it), one per clause, and the centre
     for i in range(1, n + 1):
-        for a in range(1, 5):
-            vid = take()
-            pos_path[(i, a)] = vid
-            colors[vid] = lit_color[(i, True)]
-        for a in range(1, 5):
-            vid = take()
-            neg_path[(i, a)] = vid
-            colors[vid] = lit_color[(i, False)]
-        for j in range(1, M + 1):
-            vid = take()
-            pos_stab[(i, j)] = vid
-            colors[vid] = stab_color[(i, j)]
-        for j in range(1, M + 1):
-            vid = take()
-            neg_stab[(i, j)] = vid
-            colors[vid] = stab_color[(i, j)]
-        for a in range(1, 4):
-            edges.append((pos_path[(i, a)], pos_path[(i, a + 1)]))
-            edges.append((neg_path[(i, a)], neg_path[(i, a + 1)]))
-        for j in range(1, M + 1):
-            edges.append((pos_stab[(i, j)], pos_path[(i, 1)]))
-            edges.append((neg_stab[(i, j)], neg_path[(i, 1)]))
-    for i, clause in enumerate(f.clauses, start=1):
-        (va, pa), (vb, pb) = clause
-        for a in range(1, 8):
-            vid = take()
-            left_path[(i, a)] = vid
-            colors[vid] = lit_color[(va, pa)]
-        for a in range(1, 8):
-            vid = take()
-            right_path[(i, a)] = vid
-            colors[vid] = lit_color[(vb, pb)]
-        for a in range(1, 8):
-            vid = take()
-            clause_path[(i, a)] = vid
-            colors[vid] = clause_color[i]
-        for a in range(1, 7):
-            edges.append((left_path[(i, a)], left_path[(i, a + 1)]))
-            edges.append((right_path[(i, a)], right_path[(i, a + 1)]))
-            edges.append((clause_path[(i, a)], clause_path[(i, a + 1)]))
+        run(pos_path, i, 4, 2 * i - 1)
+        run(neg_path, i, 4, 2 * i)
+        run(pos_stab, i, M, 2 * n + (i - 1) * M + 1, pos_path[(i, 1)])
+        run(neg_stab, i, M, 2 * n + (i - 1) * M + 1, neg_path[(i, 1)])
+    for i, ((va, pa), (vb, pb)) in enumerate(f.clauses, start=1):
+        run(left_path, i, 7, 2 * va - pa)
+        run(right_path, i, 7, 2 * vb - pb)
+        run(clause_path, i, 7, 2 * n + n * M + i)
         edges.append((left_path[(i, 1)], clause_path[(i, 2)]))
         edges.append((right_path[(i, 1)], clause_path[(i, 6)]))
-    v1, v2, v3 = take(), take(), take()
-    for vid in (v1, v2, v3):
-        colors[vid] = center_color
-    edges.append((v1, v2))
-    edges.append((v2, v3))
-    for i in range(1, n + 1):
-        edges.append((pos_path[(i, 1)], v1))
-        edges.append((neg_path[(i, 1)], v1))
-    for i in range(1, m + 1):
-        edges.append((clause_path[(i, 4)], v1))
+    center_color = 2 * n + n * M + m + 1
+    run(center, 0, 3, center_color)
+    v1 = center[(0, 1)]
+    edges.extend((path[(i, 1)], v1) for i in range(1, n + 1)
+                 for path in (pos_path, neg_path))
+    edges.extend((clause_path[(i, 4)], v1) for i in range(1, m + 1))
 
-    total = nxt - 1
-    assert total == n * (2 * M + 8) + 21 * m + 3
-    tree = ColoredGraph(total, center_color, edges, colors)
+    tree = ColoredGraph(len(colors), center_color, edges, colors)
     layout = TreeReductionLayout(
         n=n, m=m, M=M,
         pos_path=pos_path, neg_path=neg_path,
         pos_stab=pos_stab, neg_stab=neg_stab,
         left_path=left_path, right_path=right_path, clause_path=clause_path,
-        center=(v1, v2, v3))
+        center=tuple(center.values()))
     meta = ReductionMetadata(
         reduction="2sat-tree",
         params=(("n", n), ("m", m), ("M", M)),
@@ -464,9 +407,6 @@ class Interval:
     lo: Fraction
     hi: Fraction
 
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
 
 @dataclass(frozen=True)
 class IntervalInstance:
@@ -500,20 +440,22 @@ class IntervalInstance:
         yield "large", self.large_id
 
 
-def _packed_smalls(start, count: int, n: int, color: int,
-                   first_id: int) -> list[Interval]:
-    """``count`` disjoint closed intervals strictly inside ``(start, start+1)``.
+def _packed_smalls(intervals: list, start, count: int, n: int,
+                   color: int) -> tuple:
+    """Append ``count`` disjoint closed intervals strictly inside
+    ``(start, start+1)`` to ``intervals``, with the next free ids; return
+    those ids.
 
     Centers march in steps of 1/(count+1); widths are capped both by half a
     step (disjointness) and by 1/(2(n^3+1)) (the construction's epsilon).
     """
     step = Fraction(1, count + 1)
     half = min(step, Fraction(1, n ** 3 + 1)) / 4
-    out = []
-    for j in range(1, count + 1):
-        center = start + j * step
-        out.append(Interval(first_id + j - 1, color, center - half, center + half))
-    return out
+    first = len(intervals) + 1
+    for j in range(count):
+        center = start + (j + 1) * step
+        intervals.append(Interval(first + j, color, center - half, center + half))
+    return tuple(range(first, first + count))
 
 
 def cubic_vc_to_intervals(g: ColoredGraph, p: int | None = None,
@@ -539,25 +481,15 @@ def cubic_vc_to_intervals(g: ColoredGraph, p: int | None = None,
     intervals: list[Interval] = []
     mediums = []
     gadget_smalls = {}
-    gap_smalls = {}
-    nxt = 1
     for v in range(1, n + 1):
         lo, hi = Fraction(2 * v), Fraction(2 * v + 1)
-        incident = sorted(edge_index[e] for e in g.edges if v in e)
-        for e in incident:
-            intervals.append(Interval(nxt, e, lo, hi))
-            mediums.append((e, v, nxt))
-            nxt += 1
-        smalls = _packed_smalls(lo, p, n, small_color, nxt)
-        intervals.extend(smalls)
-        gadget_smalls[v] = tuple(iv.id for iv in smalls)
-        nxt += p
-    for i in range(1, n + 1):
-        smalls = _packed_smalls(Fraction(2 * i + 1), q, n, small_color, nxt)
-        intervals.extend(smalls)
-        gap_smalls[i] = tuple(iv.id for iv in smalls)
-        nxt += q
-    large = Interval(nxt, 1, Fraction(1), Fraction(2 * n + 2))
+        for e in sorted(edge_index[e] for e in g.edges if v in e):
+            mediums.append((e, v, len(intervals) + 1))
+            intervals.append(Interval(len(intervals) + 1, e, lo, hi))
+        gadget_smalls[v] = _packed_smalls(intervals, lo, p, n, small_color)
+    gap_smalls = {i: _packed_smalls(intervals, Fraction(2 * i + 1), q, n, small_color)
+                  for i in range(1, n + 1)}
+    large = Interval(len(intervals) + 1, 1, Fraction(1), Fraction(2 * n + 2))
     intervals.append(large)
     instance = IntervalInstance(
         intervals=tuple(intervals), p=p, q=q, source_n=n,
@@ -597,30 +529,6 @@ def intervals_to_graph(intervals) -> ColoredGraph:
     return ColoredGraph(n, max(colors.values()), edges, colors)
 
 
-def predicted_interval_edges(instance: IntervalInstance) -> frozenset:
-    """Adjacency implied by the gadget roles alone (no geometry).
-
-    The large interval meets everything; mediums of one gadget meet each
-    other and their gadget's smalls; nothing else touches.
-    """
-    edges = set()
-    total = len(instance.intervals)
-    big = instance.large_id
-    for iid in range(1, total + 1):
-        if iid != big:
-            edges.add((iid, big) if iid < big else (big, iid))
-    by_vertex: dict[int, list[int]] = {}
-    for _, v, iid in instance.mediums:
-        by_vertex.setdefault(v, []).append(iid)
-    for v, meds in by_vertex.items():
-        for a, b in itertools.combinations(sorted(meds), 2):
-            edges.add((a, b))
-        for mid in meds:
-            for sid in instance.gadget_smalls[v]:
-                edges.add((mid, sid) if mid < sid else (sid, mid))
-    return frozenset(edges)
-
-
 def interval_cover_certificate(instance: IntervalInstance, cover) -> Certificate:
     """Gadget contents of a vertex cover, as a consistent subset.
 
@@ -630,7 +538,7 @@ def interval_cover_certificate(instance: IntervalInstance, cover) -> Certificate
     """
     chosen_vertices = set(cover)
     for v in chosen_vertices:
-        if not (1 <= v <= instance.source_n):
+        if not (_is_int(v) and 1 <= v <= instance.source_n):
             raise PreconditionError(f"cover vertex {v} not in the source graph")
     endpoints: dict[int, set[int]] = {}
     for e, v, _ in instance.mediums:
@@ -638,10 +546,7 @@ def interval_cover_certificate(instance: IntervalInstance, cover) -> Certificate
     for e, vs in endpoints.items():
         if not vs & chosen_vertices:
             raise PreconditionError(f"cover misses edge {e}; not a vertex cover")
-    witness: set[int] = set()
-    for e, v, iid in instance.mediums:
-        if v in chosen_vertices:
-            witness.add(iid)
+    witness = {iid for _, v, iid in instance.mediums if v in chosen_vertices}
     for v in chosen_vertices:
         witness.update(instance.gadget_smalls[v])
     if len(witness) != len(chosen_vertices) * (3 + instance.p):
@@ -665,12 +570,7 @@ def parse_intervals(text: str) -> tuple:
     """Inverse of :func:`format_intervals`; returns a tuple of intervals."""
     out = []
     seen = set()
-    last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
-        parts = raw.split()
-        if not parts or parts[0] == "c":
-            continue
+    for lineno, parts in _records(text):
         if parts[0] != "i" or len(parts) != 5:
             raise ParseError(lineno, "expected 'i <id> <color> <lo> <hi>'")
         try:
@@ -688,7 +588,7 @@ def parse_intervals(text: str) -> tuple:
         seen.add(iid)
         out.append(Interval(iid, color, lo, hi))
     if not out:
-        raise ParseError(max(1, last_line), "no interval lines found")
+        raise ParseError(max(1, len(text.splitlines())), "no interval lines found")
     return tuple(out)
 
 
@@ -782,17 +682,13 @@ def planar_ds_to_mscs(g: ColoredGraph):
         raise PreconditionError("the source graph must be connected")
     n = g.n
     r1, b1, b2, b3 = {}, {}, {}, {}
-    for v in range(1, n + 1):
-        base = n + 4 * (v - 1)
-        r1[v], b1[v], b2[v], b3[v] = base + 1, base + 2, base + 3, base + 4
     edges = list(g.edges)
+    colors = [1] * n
     for v in range(1, n + 1):
-        edges.extend(((v, r1[v]), (r1[v], b1[v]),
-                      (b1[v], b2[v]), (b2[v], b3[v])))
-    colors = {v: 1 for v in range(1, n + 1)}
-    for v in range(1, n + 1):
-        colors[r1[v]] = 1
-        colors[b1[v]] = colors[b2[v]] = colors[b3[v]] = 2
+        path = (v, *range(len(colors) + 1, len(colors) + 5))
+        r1[v], b1[v], b2[v], b3[v] = path[1:]
+        edges.extend(zip(path, path[1:]))
+        colors += (1, 2, 2, 2)
     graph = ColoredGraph(5 * n, 2, edges, colors)
     layout = PendantLayout(n, r1, b1, b2, b3)
     meta = ReductionMetadata(
@@ -814,7 +710,7 @@ def ds_mscs_certificate(layout: PendantLayout, g: ColoredGraph, D) -> Certificat
     """
     chosen = set(D)
     for v in chosen:
-        if not (1 <= v <= layout.n):
+        if not (_is_int(v) and 1 <= v <= layout.n):
             raise PreconditionError(f"vertex {v} not in the source graph")
     if not chosen:
         raise PreconditionError("D must be nonempty")

@@ -137,6 +137,30 @@ def prefix_vertices(tree, v, i):
 
 
 # --------------------------------------------------------------------------
+# reduction oracles
+
+def predicted_interval_edges(instance):
+    """Overlap edges of a vc-intervals instance implied by its gadget roles
+    alone (no geometry): the large interval meets everything; mediums of
+    one gadget meet each other and their gadget's smalls; nothing else
+    touches."""
+    edges = set()
+    big = instance.large_id
+    for iid in range(1, len(instance.intervals) + 1):
+        if iid != big:
+            edges.add((min(iid, big), max(iid, big)))
+    by_vertex = {}
+    for _, v, iid in instance.mediums:
+        by_vertex.setdefault(v, []).append(iid)
+    for v, meds in by_vertex.items():
+        edges.update(itertools.combinations(sorted(meds), 2))
+        for mid in meds:
+            for sid in instance.gadget_smalls[v]:
+                edges.add((min(mid, sid), max(mid, sid)))
+    return frozenset(edges)
+
+
+# --------------------------------------------------------------------------
 # child interpreters
 
 def child_env():

@@ -33,7 +33,6 @@ from consistent_subset import (
     min_vertex_cover,
     parse_set_cover,
     planar_ds_to_mscs,
-    predicted_interval_edges,
     random_connected_graph,
     random_set_cover,
     random_tree,
@@ -49,6 +48,7 @@ from helpers import (
     complete_graph,
     cycle_graph,
     path_graph,
+    predicted_interval_edges,
 )
 
 COVER43_SC = "p sc 4 3\ns 1 1 2 3\ns 2 1 3\ns 3 4\n"

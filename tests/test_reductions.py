@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -15,11 +17,12 @@ from consistent_subset import (ColoredGraph, Interval, ParseError,
                                is_strict_consistent, max2sat_to_tree,
                                parse_cnf2, parse_graph, parse_intervals,
                                parse_set_cover, planar_ds_to_mscs,
-                               predicted_interval_edges, random_connected_graph,
-                               random_set_cover, set_cover_to_mscs)
+                               random_connected_graph, random_set_cover,
+                               set_cover_to_mscs)
 from consistent_subset.exact import min_dominating_set, min_set_cover, min_vertex_cover
 
-from helpers import complete_graph, cycle_graph, path_graph
+from helpers import (complete_graph, cycle_graph, path_graph,
+                     predicted_interval_edges)
 
 COVER43 = SetCoverInstance(4, (frozenset({1, 2, 3}), frozenset({1, 3}),
                             frozenset({4})))
@@ -103,6 +106,17 @@ def test_set_cover_instance_validation():
         SetCoverInstance(1, (frozenset({1, 2}),))       # out of range
     with pytest.raises(ValueError):
         SetCoverInstance(1, ())
+
+
+def test_set_cover_instance_rejects_a_non_int_element():
+    # True would cover element 1, then be written out as ``s 1 True 2``
+    with pytest.raises(ValueError, match="element True out of range"):
+        SetCoverInstance(2, (frozenset({True, 2}),))
+
+
+def test_two_sat_formula_rejects_a_non_int_variable():
+    with pytest.raises(ValueError, match="variable 1.0 out of range"):
+        TwoSatFormula(1, (((1.0, True), (1, False)),))
 
 
 # --------------------------------------------------------------------------
@@ -228,6 +242,51 @@ def test_all_false_assignment_consistent():
     assert is_consistent(tree, cert.witness)
 
 
+def _optimum_of_tree_reduction(f):
+    """``(brute-force optimum, N(k*))`` of ``f``'s tree at the smallest M
+    that draws no warning, M = 2n + 2m + 2."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tree, _, meta = max2sat_to_tree(f, M=2 * f.n + 2 * f.m + 2)
+    best = max(f.satisfied_count(dict(enumerate(bits, start=1)))
+               for bits in itertools.product((False, True), repeat=f.n))
+    return brute_force_mcs(tree, cap=tree.n).size, meta.target_size(best)
+
+
+def _small_formulas():
+    """Every formula with one variable and m <= 2 or two variables and
+    m <= 1, and every pair of different clauses that each join both of two
+    variables; minus those holding both (x v x) and (-x v -x)."""
+    for n, m, distinct in ((1, 0, False), (1, 1, False), (1, 2, False),
+                           (2, 0, False), (2, 1, False), (2, 2, True)):
+        literals = [(v, p) for v in range(1, n + 1) for p in (True, False)]
+        clauses = [c for c in itertools.combinations_with_replacement(literals, 2)
+                   if not distinct or c[0][0] != c[1][0]]
+        pick = (itertools.combinations if distinct
+                else itertools.combinations_with_replacement)
+        for chosen in pick(clauses, m):
+            if not any(((v, True), (v, True)) in chosen
+                       and ((v, False), (v, False)) in chosen for v in range(1, n + 1)):
+                yield TwoSatFormula(n, chosen)
+
+
+def test_tree_reduction_optimum_is_n_of_k():
+    formulas = list(_small_formulas())
+    assert len(formulas) == 9 + 11 + 6
+    for f in formulas:
+        size, target = _optimum_of_tree_reduction(f)
+        assert size == target, f.clauses
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: N(k) is not the optimum of a "
+                          "formula holding both (x v x) and (-x v -x)")
+def test_tree_reduction_optimum_with_opposite_unit_clauses():
+    f = TwoSatFormula(1, (((1, True), (1, True)), ((1, False), (1, False))))
+    size, target = _optimum_of_tree_reduction(f)
+    assert size == target       # N(1) = 16 at M = 8; brute force finds 15
+
+
 # --------------------------------------------------------------------------
 # interval construction
 
@@ -259,8 +318,8 @@ def test_interval_geometry():
         for iid in ids:
             iv = by_id[iid]
             assert Fraction(2 * v) < iv.lo < iv.hi < Fraction(2 * v + 1)
-        for a, b in itertools.combinations(ids, 2):
-            assert not by_id[a].intersects(by_id[b])
+        for a, b in itertools.combinations(ids, 2):    # pairwise disjoint
+            assert by_id[a].hi < by_id[b].lo or by_id[b].hi < by_id[a].lo
     for gap, ids in inst.gap_smalls.items():
         for iid in ids:
             iv = by_id[iid]
@@ -297,6 +356,37 @@ def test_interval_cover_certificate():
         interval_cover_certificate(inst, (1,))          # misses edges
     with pytest.raises(PreconditionError):
         interval_cover_certificate(inst, (1, 2, 9))     # out of range
+
+
+def test_interval_cover_certificate_rejects_a_non_int_vertex():
+    inst, _ = cubic_vc_to_intervals(complete_graph(4), p=1, q=1)
+    with pytest.raises(PreconditionError, match="cover vertex 1.0 not in"):
+        interval_cover_certificate(inst, [1.0, 2, 3])
+
+
+def _cubic_graphs():
+    """K4, K3,3, the prism, the 3-cube and the Petersen graph."""
+    k33 = [(u, w) for u in (1, 2, 3) for w in (4, 5, 6)]
+    prism = [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5), (3, 6)]
+    cube = [(a + 1, b + 1) for a, b in itertools.combinations(range(8), 2)
+            if bin(a ^ b).count("1") == 1]
+    petersen = ([(i, i % 5 + 1) for i in range(1, 6)]
+                + [(i, i + 5) for i in range(1, 6)]
+                + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)])
+    yield complete_graph(4)
+    for n, edges in ((6, k33), (6, prism), (8, cube), (10, petersen)):
+        yield ColoredGraph(n, 1, edges, [1] * n)
+
+
+def test_interval_reduction_optimum_is_k_times_3_plus_p():
+    for g in _cubic_graphs():
+        assert all(g.degree(v) == 3 for v in range(1, g.n + 1))
+        best = min_vertex_cover(g)[0]
+        for p, q in itertools.product((1, 2), repeat=2):
+            inst, meta = cubic_vc_to_intervals(g, p=p, q=q)
+            derived = intervals_to_graph(inst)
+            optimum = brute_force_mcs(derived, cap=derived.n).size
+            assert optimum == meta.target_size(best), (g.n, p, q)
 
 
 def test_interval_file_round_trip():
@@ -402,6 +492,14 @@ def test_pendant_certificates():
         ds_mscs_certificate(layout4, star_not_dom, {1})   # vertex 3 undominated
 
 
+def test_ds_mscs_certificate_rejects_a_non_int_vertex():
+    p3 = path_graph([1, 1, 1])
+    _, layout, _ = planar_ds_to_mscs(p3)
+    for bad in ([True, 3], [2.0]):      # True would be taken as vertex 1
+        with pytest.raises(PreconditionError, match="not in the source graph"):
+            ds_mscs_certificate(layout, p3, bad)
+
+
 # --------------------------------------------------------------------------
 # metadata sidecar
 
@@ -417,3 +515,49 @@ def test_metadata_roles_cover_layout():
     assert names["x1"] == 1
     assert names["y3"] == 7
     assert names["r1"] == 8 and names["r2"] == 9
+
+
+# --------------------------------------------------------------------------
+# byte goldens of the generated files
+
+# sha256 of the files ``consist gen`` writes (``format_graph`` and
+# ``format_metadata``, plus ``format_intervals`` for vc-intervals), one small
+# input per reduction; any change to an id, colour, edge or role fails here
+FILE_GOLDENS = {
+    "ds-mcs": [
+        "99bdfc39fe33ebb9c40632b7ff4a2e5908b850228c793428456b2b268bfaa47b",
+        "2a01f32478b7f2e45f9af87980291a55c451e93e46a8b051da37bb25d9413370"],
+    "2sat-tree": [
+        "c27a9c35aa4f641defd9df37dc0938f51614d297c270e8d11dcb15c703bcbc9d",
+        "8ff784f6e7d5d441520d47c9be7d734b7313a69e2962030cabc53d319372660c"],
+    "vc-intervals": [
+        "680a02ec01538d1c8458a3428c14a7a46701daf3f75ea3dc8b2576331d9526d0",
+        "15e6423ac4142ae3423e918ee6622ad36917c6b29fc3bae67192a2de8efc4299",
+        "668fc732da3ae1cc90c987c3a7ea2fe6317f31f05f0af9fe3857518d3390a9f3"],
+    "sc-mscs": [
+        "6b62b25662d2d717778290a68667fdb0d2a59438db7b460849a6cf200c333157",
+        "906b289186b8b67e65c8ebba2fd88bd70f6278a508c17e55e69d8948621bcca9"],
+    "ds-mscs": [
+        "46fa72e90fc8b42ac89243079d93e016c515899ea893723741791c5b2bb161fd",
+        "31ce87bea7f9f8600e461b3155e8f8d6697a1b6a82399d9e7092c1fc58c943fe"],
+}
+
+
+def test_generated_file_goldens():
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    src = random_connected_graph(6, 1, 11)
+    f = TwoSatFormula(2, (((1, True), (2, False)), ((2, True), (1, True))))
+    inst, vc_meta = cubic_vc_to_intervals(complete_graph(4), p=2, q=3)
+    built = {
+        "ds-mcs": dominating_set_to_mcs(src),
+        "2sat-tree": max2sat_to_tree(f, M=10)[::2],
+        "vc-intervals": (intervals_to_graph(inst), vc_meta),
+        "sc-mscs": set_cover_to_mscs(COVER43)[::2],
+        "ds-mscs": planar_ds_to_mscs(src)[::2],
+    }
+    got = {name: [sha(format_graph(g)), sha(format_metadata(meta))]
+           for name, (g, meta) in built.items()}
+    got["vc-intervals"].append(sha(format_intervals(inst)))
+    assert got == FILE_GOLDENS
