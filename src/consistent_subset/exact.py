@@ -15,13 +15,16 @@ strict consistent when it lies inside it.
 
 One cardinality k is enumerated by a depth-first walk over ascending
 vertex tuples.  The walk keeps its ``(next vertex, prefix mask, missed
-groups, sibling)`` frames on an explicit stack, so it never recurses.  A frame stands for the node ``chosen = prefix | v``,
-and ``left = k - |chosen|`` picks remain after it.  A prefix ``chosen``
-whose last pick is ``v`` can only be completed by a set ``T`` of vertices
-after ``v``, the mask ``future``; the prefix is dropped, with every
-completion, as soon as no completion can pass.  Since only tuples that
-cannot pass are skipped, the first passing tuple, the optimum and the
-witness are those of plain enumeration.
+groups, sibling)`` frames on an explicit stack, so it never recurses.  A
+frame stands for the node ``chosen = prefix | v``, and ``left = k -
+|chosen|`` picks remain after it.  A prefix ``chosen`` whose last pick is
+``v`` can only be completed by a set ``T`` of vertices after ``v``, the
+mask ``future``; the prefix is dropped, with every completion, as soon as
+no completion can pass.  A frame with ``left == 0`` is no node but a
+chain: the full tuples ``prefix | u`` for every ``u`` from ``v`` on, which
+the walk settles at once.  Since only tuples that cannot pass are skipped,
+the first passing tuple, the optimum and the witness are those of plain
+enumeration.
 
 Two tests drop prefixes:
 
@@ -46,31 +49,57 @@ Two tests drop prefixes:
   holds an other-color vertex of ``chosen``.  Either way the nearest layer
   of ``S`` is an earlier one, met by other-color vertices of ``T`` only, or
   the stopping layer itself.  With ``future`` empty this is the exact test
-  of the subset ``chosen``, so one test serves prefixes and full tuples.
-  The test is a conjunction over the vertices, so the order in which it
-  scans them changes only its cost.
+  of the subset ``chosen``.  The test is a conjunction over the vertices,
+  so the order in which it scans them changes only its cost.
+
+A chain is exact, not a cut: one pass over the layer tables gives the mask
+of every last pick ``u`` whose tuple passes.  At a vertex, let ``s`` be the
+first layer that meets ``prefix``, ``hit`` what it meets and ``before``
+the union of the layers ahead of ``s``.  A pick in ``before`` is the
+vertex's only nearest member, a pick in layer ``s`` joins ``hit``, and a
+later pick leaves ``hit`` the nearest members.  So under MCS the vertex
+allows ``~(before & ~own)`` when ``hit`` meets its class ``own``, and
+``(before | layer s) & own`` otherwise; under MSCS it allows ``before &
+own`` when ``hit`` holds an other-color vertex, and ``~((before | layer s)
+& ~own)`` otherwise.  The tuples that pass are the bits of the AND of
+these masks over every vertex, so the lowest bit is the first passing
+tuple of the chain.  An empty ``prefix`` meets no layer, ``before`` is the
+whole graph, and each vertex allows its own class: the test of the
+one-vertex subsets.  Group cuts are implied and not needed.
 
 The walks of successive sizes share their work.  ``future`` depends on
 ``v`` alone, so a node's verdicts change with k only through ``left``,
 which grows by one from each size to the next.  A node is cut for good,
 at this size and every larger one, when it has no room (``v + left >
 n``), when a missed group has no vertex after ``v``, or when the layer
-test fails with ``left > 0``.  It is cut for this size only when it misses
-more groups than it has picks left, or when ``left == 0`` and the full
-tuple fails.  The size cuts, in walk order, are the frontier that the walk
-of the next size starts from, and a frontier frame pushes no sibling: the
-earlier walk pushed it already.  A node expanded at size k is expanded
+test fails.  It is cut for this size only when it misses more groups than
+it has picks left; a chain is cut for this size when none of its tuples
+passes.  The size cuts, in walk order, are the frontier that the walk of
+the next size starts from.  A frontier node pushes no sibling: the earlier
+walk pushed it already.  A frontier chain keeps ``sibling = True``: at the
+next size its prefix has two picks left, and it is the run of sibling
+nodes ``prefix | u``, from ``u = v`` on, that its masked tuples have
+become, which no walk has expanded yet and which the sibling pushes and
+cuts walk in order.
+
+So the first passing tuple cannot move.  A walk from the empty prefix
+meets the full tuples that survive the cuts in lexicographic order, a
+chain at a time, since a chain is a run of consecutive tuples and the
+stack puts each node's subtree before its next sibling.  At size k + 1
+each node that such a walk would test was expanded at an earlier size
+with the same verdict, is a frontier node, was a tuple of a frontier
+chain, or lies below one of these.  A node expanded at size k is expanded
 again at k + 1 unless it has lost its room, and then none of its
 descendants has room either, since ``v + left`` never falls from a node
-to its children or later siblings.  So each node that a walk from the
-empty prefix would test at size k + 1 was expanded before with the same
-verdict, is a frontier node, or lies below one, and the walk meets the
-same full tuples.  It meets them in the same order, because the frontier is in
-lexicographic order, no frontier node is a prefix of another, and the
-stack puts each frontier node's subtree before the next frontier node.
-So the first passing tuple cannot move, and the layer test of a prefix
-with ``left > 0`` runs at most once per solve.  The price is memory: the
-frontier holds every node that a size cut short.
+to its children or later siblings.  A tuple of a chain with a passing
+tuple cannot occur at size k + 1, since the walk of size k returned.  The
+frontier is in lexicographic order, no frontier entry lies below another,
+and the stack puts each entry's subtree, and each node of a chain with
+its own subtree, before the next entry; so the walk from the frontier
+meets the same tuples in the same order.  It follows too that the layer
+test of a node and the mask of a chain each run at most once per solve.
+The price is memory: the frontier holds every node and chain that a size
+cut short.
 
 The witness is checked once more with the graph module's BFS checker
 before it is returned, and a disagreement raises ``AssertionError``.
@@ -116,6 +145,32 @@ def _layers_pass(table, chosen: int, strict: bool, future: int) -> bool:
                 table.insert(0, row)
             return False
     return True
+
+
+def _last_picks(table, chosen: int, strict: bool, future: int) -> int:
+    """The mask of every vertex ``u`` in ``future`` for which the subset
+    ``chosen | 1 << u`` passes at every vertex (see the module docstring);
+    ``table`` is as for ``_layers_pass``, and ``chosen`` and ``future`` are
+    disjoint.  A row that empties the mask moves to the front of ``table``,
+    as in ``_layers_pass``."""
+    for row in table:
+        layers, own = row
+        before = 0
+        for layer in layers:
+            hit = layer & chosen
+            if hit:
+                break
+            before |= layer
+        if strict:
+            future &= before & own if hit & ~own else ~((before | layer) & ~own)
+        else:
+            future &= ~(before & ~own) if hit & own else (before | layer) & own
+        if not future:
+            if row is not table[0]:
+                table.remove(row)
+                table.insert(0, row)
+            return 0
+    return future
 
 
 def _layer_table(g: ColoredGraph) -> list:
@@ -170,6 +225,18 @@ def _minimum_certificate(g: ColoredGraph, variant: str, cap: int) -> Certificate
             frame = stack.pop()
             v, prefix, missed, sibling = frame
             left = k - prefix.bit_count() - 1  # picks still to make after v
+            if not left:
+                # a chain: v and every later vertex as the last pick of prefix
+                picks = _last_picks(table, prefix, strict, full & -(1 << v))
+                if picks:
+                    chosen = prefix | picks & -picks
+                    witness = tuple(u for u in vertices if chosen >> u & 1)
+                    if not _consistency_scan(g, witness, strict):
+                        raise AssertionError(
+                            f"layer-mask test and checker disagree on {witness}")
+                    return Certificate(variant, witness, k, "brute-force-optimal")
+                frontier.append(frame)  # no last pick passes at this size
+                continue
             if v + left > g.n:
                 continue  # no room, for v or any later sibling
             # a frontier frame's siblings were walked at an earlier size, and
@@ -179,23 +246,12 @@ def _minimum_certificate(g: ColoredGraph, variant: str, cap: int) -> Certificate
             miss = missed & ~gbit[v]
             if miss & gone[v]:
                 continue
-            if miss.bit_count() <= left:
-                chosen = prefix | 1 << v
-                future = full & -(2 << v) if left else 0
-                if _layers_pass(table, chosen, strict, future):
-                    if left:
-                        stack.append((v + 1, chosen, miss, True))
-                        continue
-                    witness = tuple(u for u in vertices if chosen >> u & 1)
-                    if not _consistency_scan(g, witness, strict):
-                        raise AssertionError(
-                            f"layer-mask test and checker disagree on {witness}")
-                    return Certificate(variant, witness, k, "brute-force-optimal")
-                if left:
-                    continue  # fails with any larger left too
-            # too many missed groups, or a full tuple that fails: the frame
-            # may pass at the next size
-            frontier.append((v, prefix, missed, False) if sibling else frame)
+            if miss.bit_count() > left:
+                # too many missed groups: the frame may pass at the next size
+                frontier.append((v, prefix, missed, False) if sibling else frame)
+            elif _layers_pass(table, prefix | 1 << v, strict, full & -(2 << v)):
+                stack.append((v + 1, prefix | 1 << v, miss, True))
+            # a failing layer test fails with any larger left too
     raise AssertionError("unreachable: the full vertex set is always consistent")
 
 

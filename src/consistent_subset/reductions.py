@@ -48,6 +48,8 @@ class TwoSatFormula:
     clauses: tuple
 
     def __post_init__(self):
+        if not _is_int(self.n):
+            raise ValueError(f"variable count must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("formula needs at least one variable")
         for clause in self.clauses:
@@ -120,6 +122,8 @@ class SetCoverInstance:
     sets: tuple
 
     def __post_init__(self):
+        if not _is_int(self.n):
+            raise ValueError(f"universe size must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("universe must be nonempty")
         if not self.sets:

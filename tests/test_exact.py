@@ -194,29 +194,57 @@ def test_prefix_test_is_sound():
     assert pruned > 10_000
 
 
+def test_last_pick_mask_is_exact():
+    # every disjoint (chosen, future) pair, the empty prefix included: the
+    # mask holds exactly the vertices u of future whose subset chosen | u
+    # passes, whatever the order of the table's rows
+    emptied = kept = 0
+    for g in prefix_cases():
+        table = exact._layer_table(g)
+        vertices = range(1, g.n + 1)
+        full = (2 << g.n) - 2
+        for strict in (False, True):
+            passes = {mask: exact._consistency_scan(
+                g, [v for v in vertices if mask >> v & 1], strict)
+                for mask in range(2, full + 1, 2)}
+            for rows in (table, table[::-1]):
+                for chosen in range(0, full + 1, 2):
+                    for future in submasks(full & ~chosen):
+                        picks = exact._last_picks(rows, chosen, strict, future)
+                        assert picks == sum(1 << u for u in vertices
+                                            if future >> u & 1
+                                            and passes[chosen | 1 << u])
+                        emptied += future and not picks
+                        kept += picks > 0
+        assert sorted(table) == sorted(exact._layer_table(g))
+    assert emptied > 10_000 and kept > 10_000
+
+
 # (graph, solver, cap, most layer tests, most rows scanned)
 WORK_GUARD_CASES = [
-    (path_graph([1, 2] * 10), brute_force_mcs, 20, 410, 1_170),
-    (random_tree(20, 4, 1), brute_force_mcs, 20, 12_400, 43_000),
-    (random_tree(19, 2, 5), brute_force_mscs, 20, 750, 4_750),
-    (path_graph([1, 2] * 40), brute_force_mcs, 80, 6_900, 18_000),
+    (path_graph([1, 2] * 10), brute_force_mcs, 20, 230, 950),
+    (random_tree(20, 4, 1), brute_force_mcs, 20, 6_900, 35_500),
+    (random_tree(19, 2, 5), brute_force_mscs, 20, 740, 4_750),
+    (path_graph([1, 2] * 40), brute_force_mcs, 80, 3_560, 14_400),
 ]
 
 
 def test_layer_test_work_guard(monkeypatch):
-    # layer tests and vertex rows scanned, not time: on the 20-vertex
-    # alternating path, enumerating every k-subset made 1,046,529 tests and
-    # restarting each size's walk from the empty prefix 1,511.  Each bound
-    # leaves about 10% over today's count: 371, 11,214, 675 and 6,281
-    # tests, scanning 1,062, 39,017, 4,301 and 16,302 rows.
-    layers_pass = exact._layers_pass
-    layer_table = exact._layer_table
+    # layer tests and last-pick masks, and vertex rows scanned, not time:
+    # on the 20-vertex alternating path, enumerating every k-subset made
+    # 1,046,529 tests, restarting each size's walk from the empty prefix
+    # 1,511, and testing each full tuple on its own 371.  Each bound leaves
+    # about 10% over today's count: 209, 6,273, 675 and 3,239 tests (19,
+    # 1,058, 30 and 79 of them masks), scanning 862, 32,303, 4,380 and
+    # 13,102 rows; the third row bound, 4,750, was set at 4,301 rows.
     calls = [0]
     rows = [0]
 
-    def counted(*args):
-        calls[0] += 1
-        return layers_pass(*args)
+    def counted(test):
+        def count(*args):
+            calls[0] += 1
+            return test(*args)
+        return count
 
     class CountedLayers(list):
         # a row's layer list, counting the scans over it
@@ -224,7 +252,9 @@ def test_layer_test_work_guard(monkeypatch):
             rows[0] += 1
             return super().__iter__()
 
-    monkeypatch.setattr(exact, "_layers_pass", counted)
+    layer_table = exact._layer_table
+    monkeypatch.setattr(exact, "_layers_pass", counted(exact._layers_pass))
+    monkeypatch.setattr(exact, "_last_picks", counted(exact._last_picks))
     monkeypatch.setattr(exact, "_layer_table", lambda g: [
         (CountedLayers(layers), own) for layers, own in layer_table(g)])
     for g, solver, cap, most, most_rows in WORK_GUARD_CASES:
@@ -236,19 +266,23 @@ def test_layer_test_work_guard(monkeypatch):
 
 def test_no_layer_test_repeats_within_a_solve(monkeypatch):
     # a prefix with picks left is tested against the vertices after its
-    # last pick whatever the size, and a full tuple only at its own size,
-    # so each (chosen, future) pair needs testing once per solve
-    layers_pass = exact._layers_pass
+    # last pick whatever the size, and a chain of last picks is masked only
+    # at its own size, so each (chosen, future) pair needs each of the two
+    # tests once per solve
     seen = set()
     repeats = []
 
-    def once(table, chosen, strict, future):
-        if (chosen, future) in seen:
-            repeats.append((chosen, future))
-        seen.add((chosen, future))
-        return layers_pass(table, chosen, strict, future)
+    def once(test):
+        def tested(table, chosen, strict, future):
+            key = (test.__name__, chosen, future)
+            if key in seen:
+                repeats.append(key)
+            seen.add(key)
+            return test(table, chosen, strict, future)
+        return tested
 
-    monkeypatch.setattr(exact, "_layers_pass", once)
+    monkeypatch.setattr(exact, "_layers_pass", once(exact._layers_pass))
+    monkeypatch.setattr(exact, "_last_picks", once(exact._last_picks))
     solves = [(g, solver, cap) for g, solver, cap, *_ in WORK_GUARD_CASES]
     for build, args, *_ in BRUTE_WITNESS_GOLDENS:
         g = build(*args)

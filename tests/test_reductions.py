@@ -119,6 +119,20 @@ def test_two_sat_formula_rejects_a_non_int_variable():
         TwoSatFormula(1, (((1.0, True), (1, False)),))
 
 
+@pytest.mark.parametrize("n", [True, 1.0])
+def test_set_cover_instance_rejects_a_non_int_universe_size(n):
+    # True would be written out as ``p sc True 1``
+    with pytest.raises(ValueError, match=f"universe size must be an integer, got {n!r}"):
+        SetCoverInstance(n, (frozenset({1}),))
+
+
+@pytest.mark.parametrize("n", [True, 1.0])
+def test_two_sat_formula_rejects_a_non_int_variable_count(n):
+    # True would be recorded as ``n=True`` in a reduction's sidecar
+    with pytest.raises(ValueError, match=f"variable count must be an integer, got {n!r}"):
+        TwoSatFormula(n, (((1, True), (1, False)),))
+
+
 # --------------------------------------------------------------------------
 # apex construction
 
