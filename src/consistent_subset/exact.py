@@ -6,27 +6,27 @@ lexicographic order of the sorted vertex tuple; the first subset that
 passes the consistency test is returned.
 
 A subset is a bitmask over vertex ids, and the test reads tables built once
-per solve with one BFS per vertex (at most n masks of n + 1 bits per
-vertex, affordable under the enumeration cap): each vertex's distance
-layers as vertex masks, and the mask of its own color class.  A vertex's
-nearest members are the first layer that meets the subset, so the subset
-is consistent when, for every vertex, that layer meets its own class, and
-strict consistent when it lies inside it.
+per solve by growing every vertex's balls together (at most n masks of n +
+1 bits per vertex, affordable under the enumeration cap): each vertex's
+distance layers as vertex masks, and the mask of its own color class.  A
+vertex's nearest members are the first layer that meets the subset, so the
+subset is consistent when, for every vertex, that layer meets its own
+class, and strict consistent when it lies inside it.
 
 One cardinality k is enumerated by a depth-first walk over ascending
 vertex tuples.  The walk keeps its ``(next vertex, prefix mask, missed
-groups, sibling)`` frames on an explicit stack, so it never recurses.  A
-frame stands for the node ``chosen = prefix | v``, and ``left = k -
-|chosen|`` picks remain after it.  A prefix ``chosen`` whose last pick is
-``v`` can only be completed by a set ``T`` of vertices after ``v``, the
-mask ``future``; the prefix is dropped, with every completion, as soon as
-no completion can pass.  A frame with ``left == 0`` is no node but a
-chain: the full tuples ``prefix | u`` for every ``u`` from ``v`` on, which
-the walk settles at once.  Since only tuples that cannot pass are skipped,
-the first passing tuple, the optimum and the witness are those of plain
-enumeration.
+groups, sibling, bound)`` frames on an explicit stack, so it never
+recurses.  A frame stands for the node ``chosen = prefix | v``, and
+``left = k - |chosen|`` picks remain after it.  A prefix ``chosen`` whose
+last pick is ``v`` can only be completed by a set ``T`` of vertices after
+``v``, the mask ``future``; the prefix is dropped, with every completion,
+as soon as no completion can pass.  A frame with ``left == 0`` is no node
+but a chain: the full tuples ``prefix | u`` for every ``u`` from ``v`` on,
+which the walk settles at once.  Since only tuples that cannot pass are
+skipped, the first passing tuple, the optimum and the witness are those of
+plain enumeration.
 
-Two tests drop prefixes:
+Three tests drop prefixes:
 
 - Groups.  A consistent subset contains a vertex of every nonempty color
   class, and a strict consistent subset meets every block.  These groups
@@ -38,19 +38,32 @@ Two tests drop prefixes:
   those groups for each ``v``, so the test is O(1) per prefix.  A missed
   group with no vertex after ``v`` fails every later sibling too, so the
   walk then pushes no sibling frame.
-- Layers.  In ``S = chosen | T`` a vertex's nearest layer lies at or
-  before the first layer meeting ``chosen``, and any member of ``S`` nearer
-  than that layer comes from ``T``.  So each vertex's scan stops at the
-  first layer that meets ``chosen`` or an own-color vertex of ``future``.
-  No layer before the stop holds an own-color vertex of ``future``, so
-  those layers offer ``T`` only other-color vertices.  Under MCS the
-  vertex fails for every ``T`` when the stopping layer holds no own-color
-  vertex of ``chosen`` or ``future``; under MSCS it fails when that layer
-  holds an other-color vertex of ``chosen``.  Either way the nearest layer
-  of ``S`` is an earlier one, met by other-color vertices of ``T`` only, or
-  the stopping layer itself.  With ``future`` empty this is the exact test
-  of the subset ``chosen``.  The test is a conjunction over the vertices,
-  so the order in which it scans them changes only its cost.
+- Layers.  At a vertex, let ``s`` be the first layer that meets
+  ``chosen``, ``hit`` what it meets and ``own`` the vertex's color class;
+  the own-color vertices of ``future`` are its rescuers.  In ``S = chosen
+  | T`` the vertex's nearest layer is ``s`` or an earlier one, whose
+  members come from ``T``.  Under MCS, when ``hit`` holds no own-color
+  vertex, the vertex passes only if ``T`` holds a rescuer within distance
+  ``s``; under MSCS, when ``hit`` holds an other-color vertex, the nearest
+  layer must lie before ``s`` and hold own-color vertices only, so ``T``
+  holds a rescuer nearer than ``s``.  Those rescuers are the vertex's
+  rescue set, and the prefix fails for every ``T`` when one is empty.  A
+  vertex whose ``hit`` is of neither kind passes with ``T`` empty, so with
+  ``future`` empty this is the exact test of the subset ``chosen``.  The
+  test is a conjunction over the vertices, so the order in which it scans
+  them changes only its cost.
+- Rescues.  ``T`` meets every rescue set.  A rescue set of one vertex
+  forces that vertex, and rescue sets that are disjoint from one another
+  and from the forced vertices each need a further vertex of ``T``.  So
+  the forced vertices, plus the sets counted greedily, smallest first,
+  while each stays disjoint from the forced vertices and the sets already
+  counted, are a lower bound on ``|T|``, and a prefix whose bound exceeds
+  the picks it has left has no completion of this size.  Each vertex's
+  scan stops at ``s``, or at the layer where it has met two rescuers: the
+  vertex then gives no set, which only weakens the bound.  A scan run on
+  to ``s`` would visit up to the whole of a deep graph's layers at every
+  row of every test.  One scan gives both tests: the layer test is the
+  bound's -1.
 
 A chain is exact, not a cut: one pass over the layer tables gives the mask
 of every last pick ``u`` whose tuple passes.  At a vertex, let ``s`` be the
@@ -73,7 +86,9 @@ which grows by one from each size to the next.  A node is cut for good,
 at this size and every larger one, when it has no room (``v + left >
 n``), when a missed group has no vertex after ``v``, or when the layer
 test fails.  It is cut for this size only when it misses more groups than
-it has picks left; a chain is cut for this size when none of its tuples
+it has picks left, or when its rescue bound exceeds them; the frame
+carries the bound, so the next size compares it again and does not
+recompute it.  A chain is cut for this size when none of its tuples
 passes.  The size cuts, in walk order, are the frontier that the walk of
 the next size starts from.  A frontier node pushes no sibling: the earlier
 walk pushed it already.  A frontier chain keeps ``sibling = True``: at the
@@ -96,8 +111,8 @@ tuple cannot occur at size k + 1, since the walk of size k returned.  The
 frontier is in lexicographic order, no frontier entry lies below another,
 and the stack puts each entry's subtree, and each node of a chain with
 its own subtree, before the next entry; so the walk from the frontier
-meets the same tuples in the same order.  It follows too that the layer
-test of a node and the mask of a chain each run at most once per solve.
+meets the same tuples in the same order.  It follows too that the rescue
+bound of a node and the mask of a chain each run at most once per solve.
 The price is memory: the frontier holds every node and chain that a size
 cut short.
 
@@ -123,36 +138,66 @@ from .graph import (Certificate, ColoredGraph, PreconditionError,
 DEFAULT_VERTEX_CAP = 20
 
 
-def _layers_pass(table, chosen: int, strict: bool, future: int) -> bool:
-    """Can ``chosen | T`` pass at every vertex for some ``T`` within vertex
-    mask ``future``?  ``table`` holds one ``(layers, own)`` pair per vertex.
+def _layers_bound(table, chosen: int, strict: bool, future: int) -> int:
+    """A lower bound on ``|T|`` over every ``T`` within vertex mask
+    ``future`` for which ``chosen | T`` passes at every vertex, or -1 when
+    no such ``T`` exists (see the module docstring).  ``table`` holds one
+    ``(layers, own)`` pair per vertex.  With ``future == 0`` the result is
+    exact: 0 when the subset ``chosen`` itself passes, else -1.
 
-    False proves that no such ``T`` exists (see the module docstring); True
-    promises nothing unless ``future == 0``, where the test is exact: does
-    the subset ``chosen`` itself pass.
-
-    A failing row moves to the front of ``table``: the next prefix tends to
-    fail at the same vertex, and the row order changes only the cost."""
+    A row that gives -1 moves to the front of ``table``: the next prefix
+    tends to fail at the same vertex, and the row order changes only the
+    cost."""
+    forced = 0  # the rescue sets of one vertex each, ORed together
+    sets = []  # the larger rescue sets
     for row in table:
         layers, own = row
+        if layers[0] & chosen:
+            continue  # the vertex is its own nearest member
+        rescue = own & future
+        met = 0  # the rescuers in the layers ahead of this one
         for layer in layers:
             hit = layer & chosen
-            if hit or layer & own & future:
+            if hit:
                 break
-        if hit & ~own if strict else not (hit | layer & future) & own:
+            got = layer & rescue
+            if got:
+                if met or got & (got - 1):
+                    break  # two rescuers: the vertex gives no set
+                met = got
+        if not hit:
+            continue
+        if strict:
+            if not hit & ~own:
+                continue
+        elif hit & own:
+            continue
+        else:
+            met |= layer & rescue
+        if not met:
             if row is not table[0]:
                 table.remove(row)
                 table.insert(0, row)
-            return False
-    return True
+            return -1
+        if met & (met - 1):
+            sets.append(met)
+        else:
+            forced |= met
+    bound = forced.bit_count()
+    sets.sort(key=int.bit_count)
+    for need in sets:
+        if not need & forced:
+            forced |= need
+            bound += 1
+    return bound
 
 
 def _last_picks(table, chosen: int, strict: bool, future: int) -> int:
     """The mask of every vertex ``u`` in ``future`` for which the subset
     ``chosen | 1 << u`` passes at every vertex (see the module docstring);
-    ``table`` is as for ``_layers_pass``, and ``chosen`` and ``future`` are
+    ``table`` is as for ``_layers_bound``, and ``chosen`` and ``future`` are
     disjoint.  A row that empties the mask moves to the front of ``table``,
-    as in ``_layers_pass``."""
+    as in ``_layers_bound``."""
     for row in table:
         layers, own = row
         before = 0
@@ -174,19 +219,38 @@ def _last_picks(table, chosen: int, strict: bool, future: int) -> int:
 
 
 def _layer_table(g: ColoredGraph) -> list:
-    """One ``(layers, own)`` pair per vertex: its distance layers and its
-    color class, as vertex masks."""
+    """One ``(layers, own)`` pair per vertex, in vertex order: its distance
+    layers and its color class, as vertex masks.
+
+    All balls grow together, a radius a round: the ball of radius r around
+    ``v`` is the union of the radius r - 1 balls around ``v`` and its
+    neighbours, and layer r is what it adds.  A ball that stops growing
+    holds the whole (connected) graph."""
     vertices = range(1, g.n + 1)
+    adj = g.adjacency
     classes: dict[int, int] = {}
     for v in vertices:
         classes[g.color[v]] = classes.get(g.color[v], 0) | 1 << v
-    table = []
-    for v in vertices:
-        row = g.hops_from(v)
-        layers = [0] * (max(row[1:]) + 1)
-        for u in vertices:
-            layers[row[u]] |= 1 << u
-        table.append((layers, classes[g.color[v]]))
+    table = [([1 << v], classes[g.color[v]]) for v in vertices]
+    ball = [1 << v for v in range(g.n + 1)]
+    growing = vertices
+    while growing:
+        grown = []
+        wider = ball[:]
+        for v in growing:
+            old = ball[v]
+            new = old
+            for w in adj[v]:
+                new |= ball[w]
+            if new != old:
+                # not new & ~old, which CPython 3.11 stores wider: 134 MB
+                # against 105 MB for a 1,100-vertex path's table
+                # (tracemalloc)
+                table[v - 1][0].append(new - old)
+                wider[v] = new
+                grown.append(v)
+        ball = wider
+        growing = grown
     return table
 
 
@@ -213,17 +277,17 @@ def _minimum_certificate(g: ColoredGraph, variant: str, cap: int) -> Certificate
         gone[v] = ~groups
         groups |= gbit[v]
     full = (2 << g.n) - 2
-    # frames (next vertex, prefix mask, missed groups, sibling): the walk of
-    # one size starts from the frames the walk of the size before cut short,
-    # in walk order
-    frontier = [(1, 0, groups, True)]
+    # frames (next vertex, prefix mask, missed groups, sibling, rescue bound
+    # or None until tested): the walk of one size starts from the frames the
+    # walk of the size before cut short, in walk order
+    frontier = [(1, 0, groups, True, None)]
     for k in range(max(1, groups.bit_count()), g.n + 1):
         # ascending tuples come off the stack in the order of vertex tuples
         frontier.reverse()
         stack, frontier = frontier, []
         while stack:
             frame = stack.pop()
-            v, prefix, missed, sibling = frame
+            v, prefix, missed, sibling, bound = frame
             left = k - prefix.bit_count() - 1  # picks still to make after v
             if not left:
                 # a chain: v and every later vertex as the last pick of prefix
@@ -242,16 +306,23 @@ def _minimum_certificate(g: ColoredGraph, variant: str, cap: int) -> Certificate
             # a frontier frame's siblings were walked at an earlier size, and
             # a missed group with no vertex after v fails every later sibling
             if sibling and not missed & gone[v]:
-                stack.append((v + 1, prefix, missed, True))
+                stack.append((v + 1, prefix, missed, True, None))
             miss = missed & ~gbit[v]
             if miss & gone[v]:
                 continue
             if miss.bit_count() > left:
                 # too many missed groups: the frame may pass at the next size
-                frontier.append((v, prefix, missed, False) if sibling else frame)
-            elif _layers_pass(table, prefix | 1 << v, strict, full & -(2 << v)):
-                stack.append((v + 1, prefix | 1 << v, miss, True))
-            # a failing layer test fails with any larger left too
+                frontier.append((v, prefix, missed, False, bound))
+                continue
+            if bound is None:
+                bound = _layers_bound(table, prefix | 1 << v, strict, full & -(2 << v))
+            if bound > left:
+                # more rescues needed than picks left: the frame, carrying
+                # its bound, may pass at the next size
+                frontier.append((v, prefix, missed, False, bound))
+            elif bound >= 0:
+                stack.append((v + 1, prefix | 1 << v, miss, True, None))
+            # a failing layer test, -1, fails with any larger left too
     raise AssertionError("unreachable: the full vertex set is always consistent")
 
 

@@ -12,9 +12,10 @@ from consistent_subset.exact import (min_dominating_set, min_set_cover,
                                      min_vertex_cover)
 
 from helpers import (RRBB, caterpillar, complete_graph, cycle_graph,
-                     path_graph, ref_is_consistent, ref_min_dominating,
-                     ref_min_set_cover, ref_min_vertex_cover,
-                     ref_minimum_subset, runs_path, spider, star_graph)
+                     path_graph, ref_adjacency, ref_distances,
+                     ref_is_consistent, ref_min_dominating, ref_min_set_cover,
+                     ref_min_vertex_cover, ref_minimum_subset, runs_path,
+                     spider, star_graph)
 
 
 # --------------------------------------------------------------------------
@@ -148,6 +149,14 @@ def test_brute_witness_goldens_at_cap(build, args, variant, witness):
     assert (cert.size, cert.witness) == (len(witness), witness)
 
 
+def test_brute_witness_golden_past_the_default_cap():
+    # 28 vertices at cap=28, with a 14-vertex optimum
+    g = random_tree(28, 3, 2)
+    cert = brute_force_mcs(g, cap=28)
+    assert (cert.size, cert.witness) == (
+        14, (1, 2, 4, 5, 6, 7, 12, 13, 16, 18, 20, 21, 24, 26))
+
+
 def prefix_cases():
     for n in range(2, 7):
         for colors in (1, 2, 3):
@@ -166,11 +175,48 @@ def submasks(mask):
         part = (part - 1) & mask
 
 
-def test_prefix_test_is_sound():
-    # every disjoint (chosen, future) pair: a prefix the layer test drops
-    # has no completion within future that passes, and with future empty
-    # the test is the graph checker's verdict
-    pruned = 0
+def bfs_layer_table(g):
+    """``exact._layer_table`` from one plain BFS per vertex."""
+    adj = ref_adjacency(g.n, g.edges)
+    table = []
+    for v in range(1, g.n + 1):
+        dist = ref_distances(adj, v)
+        layers = [0] * (max(dist.values()) + 1)
+        for u, d in dist.items():
+            layers[d] |= 1 << u
+        own = sum(1 << u for u in range(1, g.n + 1) if g.color[u] == g.color[v])
+        table.append((layers, own))
+    return table
+
+
+def test_layer_table_matches_bfs():
+    graphs = list(prefix_cases()) + [build(*args) for build, args, *_ in BRUTE_WITNESS_GOLDENS]
+    for g in graphs:
+        assert exact._layer_table(g) == bfs_layer_table(g)
+    assert exact._layer_table(path_graph([1])) == [([2], 2)]
+
+
+def layers_pass(table, chosen, strict, future):
+    """The layer test the rescue bound's -1 refines: each vertex's scan
+    stops at the first layer meeting ``chosen`` or an own-color vertex of
+    ``future``, and fails there under the variant's rule."""
+    for layers, own in table:
+        for layer in layers:
+            hit = layer & chosen
+            if hit or layer & own & future:
+                break
+        if hit & ~own if strict else not (hit | layer & future) & own:
+            return False
+    return True
+
+
+def test_rescue_bound_is_sound():
+    # every disjoint (chosen, future) pair, chosen nonempty, on the table
+    # and on its reverse: -1 exactly where the layer test fails, and then
+    # no completion within future passes; otherwise no completion that
+    # passes has fewer vertices than the bound, and with future empty the
+    # bound is the graph checker's verdict
+    cases = cut = deep = 0
     for g in prefix_cases():
         table = exact._layer_table(g)
         vertices = range(1, g.n + 1)
@@ -179,19 +225,27 @@ def test_prefix_test_is_sound():
             passes = {mask: exact._consistency_scan(
                 g, [v for v in vertices if mask >> v & 1], strict)
                 for mask in range(2, full + 1, 2)}
-            for chosen in passes:
-                assert exact._layers_pass(table, chosen, strict, 0) == passes[chosen]
-                for future in submasks(full & ~chosen):
-                    if not exact._layers_pass(table, chosen, strict, future):
-                        pruned += 1
-                        assert not any(passes[chosen | part]
-                                       for part in submasks(future))
-            # failing rows move to the front; the verdicts hold in any order
-            reverse = table[::-1]
-            for chosen in passes:
-                assert exact._layers_pass(reverse, chosen, strict, 0) == passes[chosen]
+            for rows in (table, table[::-1]):
+                for chosen in passes:
+                    for future in submasks(full & ~chosen):
+                        bound = exact._layers_bound(rows, chosen, strict, future)
+                        assert (bound < 0) == (not layers_pass(rows, chosen, strict, future))
+                        fewest = min((part.bit_count() for part in submasks(future)
+                                      if passes[chosen | part]), default=None)
+                        assert bound >= -1
+                        if bound < 0:
+                            assert fewest is None
+                        elif fewest is not None:
+                            assert bound <= fewest
+                        if not future:
+                            assert bound == (0 if passes[chosen] else -1)
+                        cases += 1
+                        cut += bound < 0
+                        deep += bound >= 2
         assert sorted(table) == sorted(exact._layer_table(g))
-    assert pruned > 10_000
+    # 34,740 pairs per table order; 13,822 cut and 2,844 bounds of two or
+    # more on each, where counting only one-vertex rescue sets gives 2,637
+    assert cases == 2 * 34_740 and cut > 25_000 and deep > 5_600
 
 
 def test_last_pick_mask_is_exact():
@@ -220,25 +274,31 @@ def test_last_pick_mask_is_exact():
     assert emptied > 10_000 and kept > 10_000
 
 
-# (graph, solver, cap, most layer tests, most rows scanned)
+# (graph, solver, cap, most layer tests, most rows scanned, most layers
+# visited)
 WORK_GUARD_CASES = [
-    (path_graph([1, 2] * 10), brute_force_mcs, 20, 230, 950),
-    (random_tree(20, 4, 1), brute_force_mcs, 20, 6_900, 35_500),
-    (random_tree(19, 2, 5), brute_force_mscs, 20, 740, 4_750),
-    (path_graph([1, 2] * 40), brute_force_mcs, 80, 3_560, 14_400),
+    (path_graph([1, 2] * 10), brute_force_mcs, 20, 230, 685, 1_690),
+    (random_tree(20, 4, 1), brute_force_mcs, 20, 1_830, 9_560, 27_950),
+    (random_tree(19, 2, 5), brute_force_mscs, 20, 495, 2_390, 5_320),
+    (path_graph([1, 2] * 40), brute_force_mcs, 80, 3_560, 10_680, 27_890),
+    (path_graph([1, 2] * 40), brute_force_mscs, 80, 88, 3_560, 10_430),
 ]
 
 
 def test_layer_test_work_guard(monkeypatch):
-    # layer tests and last-pick masks, and vertex rows scanned, not time:
-    # on the 20-vertex alternating path, enumerating every k-subset made
-    # 1,046,529 tests, restarting each size's walk from the empty prefix
-    # 1,511, and testing each full tuple on its own 371.  Each bound leaves
-    # about 10% over today's count: 209, 6,273, 675 and 3,239 tests (19,
-    # 1,058, 30 and 79 of them masks), scanning 862, 32,303, 4,380 and
-    # 13,102 rows; the third row bound, 4,750, was set at 4,301 rows.
+    # rescue bounds and last-pick masks, vertex rows scanned and layers
+    # visited, not time: on the 20-vertex alternating path, enumerating
+    # every k-subset made 1,046,529 tests, restarting each size's walk from
+    # the empty prefix 1,511, and testing each full tuple on its own 371.
+    # Each bound leaves about 10% over today's count: 209, 1,664, 450, 3,239
+    # and 80 tests (19, 19, 8, 79 and 1 of them masks), scanning 623, 8,691,
+    # 2,171, 9,713 and 3,240 rows and visiting 1,534, 25,409, 4,833, 25,354
+    # and 9,482 layers.  A scan that ran every row on to its first layer
+    # meeting the prefix visited 104,433 and 88,561 layers on the two
+    # 80-vertex paths.
     calls = [0]
     rows = [0]
+    visited = [0]
 
     def counted(test):
         def count(*args):
@@ -247,27 +307,32 @@ def test_layer_test_work_guard(monkeypatch):
         return count
 
     class CountedLayers(list):
-        # a row's layer list, counting the scans over it
+        # a row's layer list, counting the scans over it and the layers
+        # each scan visits
         def __iter__(self):
             rows[0] += 1
-            return super().__iter__()
+            for layer in super().__iter__():
+                visited[0] += 1
+                yield layer
 
     layer_table = exact._layer_table
-    monkeypatch.setattr(exact, "_layers_pass", counted(exact._layers_pass))
+    monkeypatch.setattr(exact, "_layers_bound", counted(exact._layers_bound))
     monkeypatch.setattr(exact, "_last_picks", counted(exact._last_picks))
     monkeypatch.setattr(exact, "_layer_table", lambda g: [
         (CountedLayers(layers), own) for layers, own in layer_table(g)])
-    for g, solver, cap, most, most_rows in WORK_GUARD_CASES:
-        calls[0] = rows[0] = 0
+    for g, solver, cap, most, most_rows, most_layers in WORK_GUARD_CASES:
+        calls[0] = rows[0] = visited[0] = 0
         solver(g, cap=cap)
         assert calls[0] <= most
         assert rows[0] <= most_rows
+        assert visited[0] <= most_layers
 
 
 def test_no_layer_test_repeats_within_a_solve(monkeypatch):
     # a prefix with picks left is tested against the vertices after its
-    # last pick whatever the size, and a chain of last picks is masked only
-    # at its own size, so each (chosen, future) pair needs each of the two
+    # last pick whatever the size, a prefix cut by its bound carries the
+    # bound to the next size, and a chain of last picks is masked only at
+    # its own size, so each (chosen, future) pair needs each of the two
     # tests once per solve
     seen = set()
     repeats = []
@@ -281,7 +346,7 @@ def test_no_layer_test_repeats_within_a_solve(monkeypatch):
             return test(table, chosen, strict, future)
         return tested
 
-    monkeypatch.setattr(exact, "_layers_pass", once(exact._layers_pass))
+    monkeypatch.setattr(exact, "_layers_bound", once(exact._layers_bound))
     monkeypatch.setattr(exact, "_last_picks", once(exact._last_picks))
     solves = [(g, solver, cap) for g, solver, cap, *_ in WORK_GUARD_CASES]
     for build, args, *_ in BRUTE_WITNESS_GOLDENS:
