@@ -78,7 +78,9 @@ own`` when ``hit`` holds an other-color vertex, and ``~((before | layer s)
 these masks over every vertex, so the lowest bit is the first passing
 tuple of the chain.  An empty ``prefix`` meets no layer, ``before`` is the
 whole graph, and each vertex allows its own class: the test of the
-one-vertex subsets.  Group cuts are implied and not needed.
+one-vertex subsets.  A vertex of ``prefix`` is its own only nearest
+member and allows every pick, so its row is skipped, as in the rescue
+scan.  Group cuts are implied and not needed.
 
 The walks of successive sizes share their work.  ``future`` depends on
 ``v`` alone, so a node's verdicts change with k only through ``left``,
@@ -200,6 +202,8 @@ def _last_picks(table, chosen: int, strict: bool, future: int) -> int:
     as in ``_layers_bound``."""
     for row in table:
         layers, own = row
+        if layers[0] & chosen:
+            continue  # the vertex is its own nearest member: any pick passes
         before = 0
         for layer in layers:
             hit = layer & chosen

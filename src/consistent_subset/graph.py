@@ -17,10 +17,13 @@ what :func:`blocks` computes.
 Both checkers run one multi-source BFS from ``S`` that carries, per
 vertex, the set of colors among its nearest members: O(n + m) time and
 linear memory per call.  No distances are cached on the graph.
-:func:`parse_graph` builds the sorted adjacency and counts ``m`` in its one
-pass over the file and hands both to the graph; the graph builds its edge
-set from that adjacency only when ``edges`` is first read, which neither
-checker nor the tree solver does.
+:func:`parse_graph` builds the sorted adjacency and counts ``m``, and
+hands both to the graph; the graph builds its edge set from that adjacency
+only when ``edges`` is first read, which neither checker nor the tree
+solver does.  A file laid out as :func:`format_graph` writes it is read in
+bulk, from one ``split`` of the text and counts that prove the layout;
+every other file takes one pass over its lines, which gives the same graph
+and is the only source of parse errors.
 
 Two line-oriented ASCII file formats are handled here (see the README for
 the full grammar):
@@ -39,11 +42,16 @@ input, empty subsets, enumeration caps...) raise :class:`PreconditionError`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import lt
 from typing import Iterable, Mapping
 
 UNREACHABLE = math.inf
+
+#: What ``str.split()`` takes as whitespace in ASCII, beside space and newline
+_OTHER_SPACE = "\t\r\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 class ParseError(ValueError):
@@ -370,17 +378,91 @@ class Certificate:
             raise ValueError("size must equal the witness cardinality")
 
 
+def _parse_canonical(text: str) -> ColoredGraph | None:
+    """The graph of a file in the line layout :func:`format_graph` writes
+    (runs of spaces aside), or ``None`` when this cannot prove that the
+    line loop of :func:`parse_graph` reads the file the same way.
+
+    The layout is checked by counts, on the text before it is split, so
+    that most other layouts cost the loop little:
+
+    * the text is ASCII, holds no whitespace but spaces and ``n + m + 1``
+      newlines, and ends in one;
+    * its first line is the header ``p ccg n m c``;
+    * ``"\\nv "`` occurs ``n`` times and ``"\\ne "`` ``m`` times, none of
+      these before the last of those;
+    * ``text.split()`` gives ``5 + 3(n + m)`` tokens, and every one after
+      the header but those at ``5, 8, 11, ...`` is an id spelled ``str(i)``
+      for ``i`` in ``1..n``, the ``v`` line ids being ``1..n`` in order.
+
+    So the loop's ``splitlines`` cuts at the newlines only, into ``n + m +
+    1`` lines.  Each occurrence of ``"\\nv "`` or ``"\\ne "`` starts at its
+    own newline, and none at the last one, the final character: so the
+    lines after the header start with the token ``v``, ``n`` times, then
+    with ``e``, ``m`` times.  No id is ``v`` or ``e``, so these ``n + m``
+    line starts are the ``n + m`` tokens at ``5, 8, 11, ...`` that the ids
+    leave, and every line after the header holds exactly three tokens.
+    With colors at most ``c``, ``u < w`` on every edge and the pairs ``(u,
+    w)`` strictly increasing, the loop accepts each line as read here; and
+    since the pairs are sorted, it appends every vertex's neighbours in
+    ascending order, as done here with no sort.
+    """
+    if not text.isascii() or text[-1:] != "\n":
+        return None
+    head = text[:text.index("\n")].split()
+    if len(head) != 5 or head[0] != "p" or head[1] != "ccg":
+        return None
+    try:
+        n, m, c = map(int, head[2:])
+    except ValueError:
+        return None
+    # counted before anything is sized by n
+    if (n < 1 or m < 0 or c < 1 or text.count("\n") != n + m + 1
+            or text.count("\nv ") != n or text.count("\ne ") != m
+            or text.find("\ne ", 0, text.rfind("\nv ")) >= 0
+            or any(map(text.__contains__, _OTHER_SPACE))):
+        return None
+    tokens = text.split()
+    body = 3 * n + 5        # the first edge token
+    names = list(map(str, range(1, n + 1)))
+    if len(tokens) != body + 3 * m or tokens[6:body:3] != names:
+        return None
+    get = dict(zip(names, range(1, n + 1))).__getitem__
+    try:
+        color = (0, *map(get, tokens[7:body:3]))
+        us = list(map(get, tokens[body + 1::3]))
+        ws = list(map(get, tokens[body + 2::3]))
+    except KeyError:
+        return None
+    del tokens, names, get  # free the tokens before the tuples are built
+    pairs = list(zip(us, ws))
+    if (max(color) > c or not all(map(lt, us, ws))
+            or not all(map(lt, pairs, pairs[1:]))):
+        return None
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    for u, w in pairs:
+        adj[u].append(w)
+        adj[w].append(u)
+    return ColoredGraph._from_parts(n, c, m, color, tuple(map(tuple, adj)))
+
+
 def parse_graph(text: str) -> ColoredGraph:
     """Parse a CCG instance; raises :class:`ParseError` with line numbers.
 
-    One pass over the lines validates them and builds the colors and the
-    adjacency lists together; the edge set is left to the graph to build
-    if it is ever read.  An id token spelled as ``str(i)`` for ``i`` in
-    ``1..n`` is converted and range-checked by one lookup in a table of
-    those spellings; any other token (``01``, ``+1``, ``1_0``, non-ASCII
-    digits, out-of-range values) takes the ``int()`` path, which checks
-    it in the same order and with the same messages.
+    A file laid out as :func:`format_graph` and ``consist gen`` write it is
+    read in bulk by :func:`_parse_canonical`.  Any other file takes one
+    pass over the lines, which validates them and builds the colors and the
+    adjacency lists together; it gives the same graph, and every error.
+    The edge set is left to the graph to build if it is ever read.  In the
+    loop, an id token spelled as ``str(i)`` for ``i`` in ``1..n`` is
+    converted and range-checked by one lookup in a table of those
+    spellings; any other token (``01``, ``+1``, ``1_0``, non-ASCII digits,
+    out-of-range values) takes the ``int()`` path, which checks it in the
+    same order and with the same messages.
     """
+    g = _parse_canonical(text)
+    if g is not None:
+        return g
     header = None
     n = m = c = 0
     stride = 1              # an edge {u, w} with u < w is noted as u*stride + w
@@ -501,17 +583,18 @@ def parse_subset(text: str, n: int) -> tuple[int, ...]:
         if chosen is not None:
             raise ParseError(lineno, "duplicate subset line")
         try:
-            ids = [int(x) for x in parts[1:]]
+            ids = list(map(int, parts[1:]))
         except ValueError:
             raise ParseError(lineno, "subset ids must be integers") from None
         if not ids:
             raise ParseError(lineno, "subset must list at least one vertex")
-        for a, b in zip(ids, ids[1:]):
-            if a >= b:
-                raise ParseError(lineno, "subset ids must be strictly increasing")
-        for x in ids:
-            if not (1 <= x <= n):
-                raise ParseError(lineno, f"vertex id {x} out of range 1..{n}")
+        if not all(map(lt, ids, ids[1:])):
+            raise ParseError(lineno, "subset ids must be strictly increasing")
+        if ids[0] < 1 or ids[-1] > n:
+            # the ids increase, so the first out of range is the first or
+            # the first above n
+            x = ids[0] if ids[0] < 1 else ids[bisect_right(ids, n)]
+            raise ParseError(lineno, f"vertex id {x} out of range 1..{n}")
         chosen = tuple(ids)
     if chosen is None:
         raise ParseError(max(1, len(text.splitlines())), "missing subset line")

@@ -148,6 +148,17 @@ def test_verify_inconsistent(capsys, rrbb_file, tmp_path):
     assert code == 1 and out == "consistent=false\nstrict=false\n"
 
 
+def test_verify_disconnected_graph(capsys, tmp_path):
+    # a member in each part: every vertex has a same-colored nearest member
+    path = tmp_path / "two.ccg"
+    path.write_text("p ccg 4 2 2\nv 1 1\nv 2 1\nv 3 2\nv 4 2\ne 1 2\ne 3 4\n")
+    sub = tmp_path / "s.sub"
+    sub.write_text("s 1 3\n")
+    code, out, err = run(capsys, "verify", str(path), str(sub))
+    assert code == 3 and out == ""
+    assert err == "error: graph must be connected\n"
+
+
 def test_verify_subset_parse_error(capsys, rrbb_file, tmp_path):
     sub = tmp_path / "s.sub"
     sub.write_text("s 3 1\n")

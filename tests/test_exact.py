@@ -277,11 +277,11 @@ def test_last_pick_mask_is_exact():
 # (graph, solver, cap, most layer tests, most rows scanned, most layers
 # visited)
 WORK_GUARD_CASES = [
-    (path_graph([1, 2] * 10), brute_force_mcs, 20, 230, 685, 1_690),
-    (random_tree(20, 4, 1), brute_force_mcs, 20, 1_830, 9_560, 27_950),
-    (random_tree(19, 2, 5), brute_force_mscs, 20, 495, 2_390, 5_320),
-    (path_graph([1, 2] * 40), brute_force_mcs, 80, 3_560, 10_680, 27_890),
-    (path_graph([1, 2] * 40), brute_force_mscs, 80, 88, 3_560, 10_430),
+    (path_graph([1, 2] * 10), brute_force_mcs, 20, 230, 476, 1_480),
+    (random_tree(20, 4, 1), brute_force_mcs, 20, 1_830, 9_480, 27_870),
+    (random_tree(19, 2, 5), brute_force_mscs, 20, 495, 2_335, 5_265),
+    (path_graph([1, 2] * 40), brute_force_mcs, 80, 3_560, 7_210, 24_410),
+    (path_graph([1, 2] * 40), brute_force_mscs, 80, 88, 3_480, 10_340),
 ]
 
 
@@ -291,9 +291,9 @@ def test_layer_test_work_guard(monkeypatch):
     # every k-subset made 1,046,529 tests, restarting each size's walk from
     # the empty prefix 1,511, and testing each full tuple on its own 371.
     # Each bound leaves about 10% over today's count: 209, 1,664, 450, 3,239
-    # and 80 tests (19, 19, 8, 79 and 1 of them masks), scanning 623, 8,691,
-    # 2,171, 9,713 and 3,240 rows and visiting 1,534, 25,409, 4,833, 25,354
-    # and 9,482 layers.  A scan that ran every row on to its first layer
+    # and 80 tests (19, 19, 8, 79 and 1 of them masks), scanning 433, 8,619,
+    # 2,123, 6,553 and 3,161 rows and visiting 1,344, 25,337, 4,785, 22,194
+    # and 9,403 layers.  A scan that ran every row on to its first layer
     # meeting the prefix visited 104,433 and 88,561 layers on the two
     # 80-vertex paths.
     calls = [0]

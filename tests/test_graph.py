@@ -9,7 +9,7 @@ from consistent_subset import (Blocks, Certificate, ColoredGraph, ParseError,
                                format_subset, is_consistent,
                                is_strict_consistent, nearest_neighbors,
                                parse_graph, parse_subset, solve_tree_mcs)
-from consistent_subset.graph import UNREACHABLE
+from consistent_subset.graph import UNREACHABLE, _parse_canonical
 
 from helpers import (RRBB, RRBB_TEXT, path_graph, ref_is_consistent,
                      star_graph)
@@ -325,6 +325,79 @@ def test_round_trip_any_graph(g, data):
         assert parsed.is_tree == g.is_tree
 
 
+@given(st.one_of(connected_graphs(), any_graphs()))
+def test_bulk_reader_matches_the_line_loop(g):
+    # a trailing comment line sends parse_graph through its line loop
+    text = format_graph(g)
+    bulk = _parse_canonical(text)
+    looped = parse_graph(text + "c\n")
+    if max(g.color) > g.n:
+        # a color id above n is not in the table of vertex ids
+        assert bulk is None
+        return
+    assert bulk is not None
+    assert bulk._edges is None
+    assert (bulk.m, bulk.adjacency) == (looped.m, looped.adjacency)
+    assert bulk == looped
+
+
+@pytest.mark.parametrize("text, expected", [
+    pytest.param("p ccg 2 1 1\r\nv 1 1\r\nv 2 1\r\ne 1 2\r\n",
+                 path_graph([1, 1]), id="crlf"),
+    pytest.param("p ccg 2 1 1\nv 1\t1\nv 2 1\ne 1 2\n", path_graph([1, 1]),
+                 id="tab"),
+    # a form feed ends a line for splitlines
+    pytest.param("p ccg 2 1 1\nv 1\x0c1\nv 2 1\ne 1 2\n",
+                 (2, "color line must be 'v <id> <color>'"), id="form-feed"),
+    pytest.param("p ccg 2 1 1\nv 1 1\nv 2 1\ne 1 2", path_graph([1, 1]),
+                 id="no-final-newline"),
+    pytest.param("p ccg 2 1 1\nv 01 1\nv 2 1\ne 1 2\n", path_graph([1, 1]),
+                 id="leading-zero"),
+    pytest.param("p ccg \u0662 1 1\nv 1 1\nv 2 1\ne 1 2\n", path_graph([1, 1]),
+                 id="non-ascii-digit"),
+    # NEXT LINE ends a line for splitlines
+    pytest.param("p ccg 2 1 1\nv 1\x851\nv 2 1\ne 1 2\n",
+                 (2, "color line must be 'v <id> <color>'"), id="next-line"),
+    pytest.param("p ccg 2 1 1\nv 1 1\nv 2 1\ne 2 1\n", path_graph([1, 1]),
+                 id="reversed-edge"),
+    pytest.param("p ccg 3 2 1\nv 1 1\nv 2 1\nv 3 1\ne 2 3\ne 1 2\n",
+                 path_graph([1, 1, 1]), id="edges-out-of-order"),
+    pytest.param("p ccg 2 2 1\nv 1 1\nv 2 1\ne 1 2\ne 1 2\n",
+                 (5, "duplicate edge (1,2)"), id="duplicate-edge"),
+    pytest.param("p ccg 2 1 5\nv 1 5\nv 2 1\ne 1 2\n",
+                 ColoredGraph(2, 5, [(1, 2)], [5, 1]), id="color-above-n"),
+    pytest.param("p ccg 2 1 1\nv 1 1\nc note\nv 2 1\ne 1 2\n",
+                 path_graph([1, 1]), id="comment"),
+    pytest.param("p ccg 2 1 1\nv 2 1\nv 1 1\ne 1 2\n", path_graph([1, 1]),
+                 id="vertices-out-of-order"),
+    pytest.param("p ccg 2 1 1\nv 1 1\ne 1 2\nv 2 1\n", path_graph([1, 1]),
+                 id="edge-before-vertex"),
+    # the tokens of a canonical file, in lines the loop reads otherwise
+    pytest.param("p ccg 1 0 1\nv 1\n1", (2, "color line must be 'v <id> <color>'"),
+                 id="split-line-no-final-newline"),
+    pytest.param("p ccg 1 0 1\nv 1\n1\n", (2, "color line must be 'v <id> <color>'"),
+                 id="split-line"),
+    pytest.param("p ccg 2 0 1\nv 1 1 v\n2 1\n",
+                 (2, "color line must be 'v <id> <color>'"), id="joined-lines"),
+    pytest.param("p ccg 2 1 1\ne 1 1\nv 2 1\nv 1 2\n",
+                 (2, "self-loop at vertex 1"), id="edge-line-first"),
+    pytest.param("p cnf 2 1 1\nv 1 1\nv 2 1\ne 1 2\n",
+                 (1, "expected header 'p ccg <n> <m> <colors>'"), id="other-header"),
+])
+def test_bulk_reader_refuses_other_layouts(text, expected):
+    assert _parse_canonical(text) is None
+    if isinstance(expected, ColoredGraph):
+        g = parse_graph(text)
+        assert g == expected
+        assert g.adjacency == expected.adjacency
+    else:
+        line, message = expected
+        with pytest.raises(ParseError) as exc:
+            parse_graph(text)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
+
+
 # --------------------------------------------------------------------------
 # distances
 
@@ -412,6 +485,15 @@ def test_checker_validation():
         is_consistent(disc, {1})
     with pytest.raises(PreconditionError):
         is_strict_consistent(disc, {1})
+
+
+def test_checkers_reject_a_disconnected_graph_with_a_member_in_each_part():
+    # the scan from S reaches every vertex and passes everywhere, so
+    # connectivity must be checked on its own
+    disc = ColoredGraph(4, 2, [(1, 2), (3, 4)], [1, 1, 2, 2])
+    for checker in (is_consistent, is_strict_consistent):
+        with pytest.raises(PreconditionError, match="^graph must be connected$"):
+            checker(disc, {1, 3})
 
 
 @pytest.mark.parametrize("members,bad", [([5], "5"), ([True, 2], "True"),
@@ -521,6 +603,18 @@ def test_parse_subset_errors(text, fragment):
     with pytest.raises(ParseError) as exc:
         parse_subset(text, 4)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("text, n, message", [
+    ("s 1 2 3 4\n", 2, "vertex id 3 out of range 1..2"),
+    ("s 0 5\n", 2, "vertex id 0 out of range 1..2"),
+    # a decreasing pair is named before an id out of range
+    ("s 0 9 3\n", 4, "subset ids must be strictly increasing"),
+])
+def test_parse_subset_error_order(text, n, message):
+    with pytest.raises(ParseError) as exc:
+        parse_subset(text, n)
+    assert str(exc.value) == f"line 1: {message}"
 
 
 def test_format_subset():
