@@ -57,7 +57,7 @@ key's first argmin, which reconstruction follows, so reported witnesses
 are deterministic.
 
 Pruning.  Distance ranges are cut by prefix depths and by the colors
-available at each exact depth.  Five arguments then drop work whose
+available at each exact depth.  Six arguments then drop work whose
 value is known without building it.  None changes a key's value or
 the first argmin of any scan, so sizes and witnesses are the same as
 with no pruning at all:
@@ -125,6 +125,37 @@ with no pruning at all:
   ``1...1 2`` rooted at the ``1`` end, storing them took n(n+1)/2 keys),
   and ``dp_entry`` stores one it is asked for with its landing's value.
   ``step`` records the landing key either way.
+* Monochrome stretches.  Where a split's left part attains ``din``, the
+  child ``u``'s keys are scanned from inside distance ``din`` under the
+  outside ``dext' = dmin + 1 <= din + 1`` with colors ``cy``.  If ``u`` has
+  one child, the level at each depth ``d`` of its run (bottom vertex
+  included) is one vertex ``w``, so that key has ``cin = {color(w)}`` and
+  lands on ``w``'s chosen key ``K_w = (w, eta(w), 0, INF, bit(w), 0)`` (at
+  ``d == 0`` it is that key).  A vertex's stretch is the run's vertices
+  from it down, bottom vertex included, while they keep its color; the
+  maximal stretches are the run's segments.  Let ``u``'s color ``b`` be in
+  ``cy`` and ``T(u)`` hold a color outside ``cy`` (else the empty key is
+  the one candidate).  Every depth ``d >= din`` of ``u``'s stretch passes
+  every test: the near-outside depths lie in the stretch and hold only
+  ``b``; ``u``'s own test sees ``b`` in ``cin``; the far-side path runs from
+  ``u`` to ``w`` itself, all ``b``; and the landing's tie vertex is ``b``.
+  Those candidates come one after another with the same left key, so their
+  first argmin is the first minimum of ``K_w`` over the stretch from depth
+  ``din``, nearest on ties: one pair.  The split loop evaluates the right
+  keys of all of those pairs or of none (a chosen key is worth at least 1,
+  so the best total stays above the left value), and the minimum is taken
+  only where it evaluates them, so the memo holds the same keys.  A later
+  segment ``[a, e]`` (depths below ``u``) has another color at depth
+  ``a - 1``.  With ``dext' < d`` the far-side bound asks the depths
+  ``(d - dext') // 2 + 1`` to ``d`` for ``w``'s color alone; with
+  ``dext' >= d`` it asks it of depths 1 to ``d``, and at ``a == 1``
+  ``u``'s own test rejects ``cin = {color(w)}`` unless ``dext' == d``.  So
+  every key of the segment at ``d < 2a - 2 + dext'`` fails, and the scan
+  starts the segment there.  The depths skipped yield nothing, and the
+  near-outside bound only tightens as ``d`` grows, so a -1 among them
+  would come again at the next depth scanned, which ends the scan with the
+  same yields.  Without ``b`` in ``cy`` the near-outside bound ends the
+  scan by depth ``dext' + 1 <= din + 2``, and it stays the depth scan.
 
 From outside the fill, keys enter the table through ``dp_entry`` alone,
 the root keys included; it runs all of step 1 (``_admissible``), so a
@@ -132,7 +163,8 @@ root key, already scanned, meets those tests twice.  The fill generates
 only keys that pass them, so the recursion, ``_compute``, runs none and
 starts at step 2.  The near-outside bound, ``v``'s own test and the
 far-side bound live in ``_need``, run once per distance by ``_side_keys``
-and on the fixed sides of a split by ``_subkey_pairs``; both take masks
+(per distance scanned by ``_run_side_keys``) and on the fixed sides of a
+split by ``_subkey_pairs``; both take masks
 within the level at ``din``, so their keys pass the exact-depth test.  A
 landing key keeps its level and needs only ``_run_landing``'s tie test.
 """
@@ -169,12 +201,15 @@ class RootedTree:
     pair ``(path, pos)``: ``path`` is its maximal run of one-child vertices
     top-down followed by the vertex below the run's last one, and ``pos`` is
     the vertex's index in it (``None`` for every other vertex).  The solver
-    uses it to resolve a one-child run in one hop.
+    uses it to resolve a one-child run in one hop.  ``_seg_end`` holds, for
+    each vertex of a run's path, the depth of the last vertex of its
+    monochrome stretch: the path's vertices from it down, the bottom one
+    included, while they keep its color.
     """
 
     __slots__ = ("graph", "root", "parent", "children", "color_bit",
-                 "run", "_depth", "_up", "_pref", "_top", "_near", "_lca",
-                 "_submasks")
+                 "run", "_seg_end", "_depth", "_up", "_pref", "_top", "_near",
+                 "_lca", "_submasks")
 
     def __init__(self, g: ColoredGraph, root: int):
         if not g.is_tree:
@@ -209,15 +244,24 @@ class RootedTree:
         self._depth = depth
         # BFS order meets each run at its top first
         run: list = [None] * (n + 1)
+        seg_end = [0] * (n + 1)
+        color = g.color
         for u in order:
             if len(children[u]) == 1 and run[u] is None:
                 path = [u]
                 while len(children[path[-1]]) == 1:
                     path.append(children[path[-1]][0])
                 path = tuple(path)
-                for pos in range(len(path) - 1):
-                    run[path[pos]] = (path, pos)
+                x = path[-1]
+                end = seg_end[x] = depth[x]
+                for pos in range(len(path) - 2, -1, -1):
+                    if color[path[pos]] != color[x]:
+                        end = depth[path[pos]]
+                    x = path[pos]
+                    run[x] = (path, pos)
+                    seg_end[x] = end
         self.run = run
+        self._seg_end = seg_end
         # per vertex x, from x up to the root: (depth, mask) steps where mask
         # holds the colors whose nearest ancestor-or-self of x lies at that
         # depth or deeper; at most one step per color
@@ -349,13 +393,16 @@ class DPTable:
     the keys holding its chosen vertices, which witness reconstruction
     follows: a split key's first argmin, the ``(left, right)`` subkey pair,
     or a run key's one-key ``(landing,)`` (see :func:`dp_entry`).
+    ``stretch`` maps a vertex of a run's path to the ``(value, key)`` of
+    :func:`_stretch_min`.
     """
 
-    __slots__ = ("memo", "step")
+    __slots__ = ("memo", "step", "stretch")
 
     def __init__(self):
         self.memo: dict = {}
         self.step: dict = {}
+        self.stretch: dict = {}
 
     @property
     def size(self) -> int:
@@ -476,7 +523,9 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
 
     A right key of an unchosen one-child child (finite ``din >= 1``) is
     yielded landed (see :func:`_run_landing`), or as ``None`` when its
-    landing is worth ``INF``, so no run key reaches :func:`_compute`.
+    landing is worth ``INF``, so no run key reaches :func:`_compute`.  Under
+    a fixed left key, a one-child child with its color in ``cy`` takes its
+    keys from :func:`_run_side_keys`, which may yield a vertex for a key.
     """
     v, i, din, dext, cin, cext = key
     child = tree.children[v][i - 1]
@@ -534,9 +583,81 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
     if la == cin and not fa & ~cin:
         left = (v, i - 1, din, dext, cin, cext)
         cy = (cin if dmin == din else 0) | (cext if dext == dmin else 0)
-        for right in _side_keys(tree, child, eta, din, dmin + 1, cy):
-            yield left, (_run_landing(tree, right) if run and 0 < right[2] < INF
-                         else right)
+        if run and tree.color_bit[child] & cy:
+            for right in _run_side_keys(tree, child, din, dmin + 1, cy):
+                yield left, right
+        else:
+            for right in _side_keys(tree, child, eta, din, dmin + 1, cy):
+                yield left, (_run_landing(tree, right) if run and 0 < right[2] < INF
+                             else right)
+
+
+def _run_side_keys(tree: RootedTree, u: int, d0: int, dext: int, cext: int):
+    """The keys of ``_side_keys(tree, u, 1, d0, dext, cext)`` for a one-child
+    ``u``, landed (see :func:`_run_landing`), scanned by color segment along
+    ``u``'s run (see "Monochrome stretches"); ``u``'s color must be in
+    ``cext`` and ``dext <= d0 + 1``.  The keys from ``d0`` to the end of
+    ``u``'s stretch are one candidate: the chosen key of its first vertex
+    when that is its last, else the vertex itself, which :func:`_compute`
+    resolves with :func:`_stretch_min`.  A later segment ``[a, e]`` is
+    scanned from depth ``2a - 2 + dext``, or at ``e`` alone when that lies
+    past ``e``, so that :func:`_need`'s -1 still ends the scan within a
+    segment.  Below the run the scan is :func:`_side_keys`'s.
+    """
+    if not tree._near[u][1][-1] & ~cext:
+        yield (u, 1, INF, dext, 0, cext)
+        return
+    path, pos = tree.run[u]
+    top, seg_end, bits = tree._depth[u], tree._seg_end, tree.color_bit
+    a = lo = d0
+    e = seg_end[u] - top
+    if d0 <= e:
+        w = path[pos + d0]
+        yield w if d0 < e else (w, len(tree.children[w]), 0, INF, bits[w], 0)
+        a, lo = e + 1, 2 * e + dext
+    end = len(path) - pos           # the depth just below the run
+    while a < end:
+        e = seg_end[path[pos + a]] - top
+        for d in range(lo if lo < e else e, e + 1):
+            need = _need(tree, u, 1, d, dext, cext)
+            if need < 0:
+                return
+            bit = bits[path[pos + d]]
+            if not need & ~bit:
+                yield _run_landing(tree, (u, 1, d, dext, bit, cext) if dext <= d
+                                   else (u, 1, d, INF, bit, 0))
+        a, lo = e + 1, 2 * e + dext   # 2a - 2 + dext at the next segment
+    for key in _side_keys(tree, u, 1, a, dext, cext):
+        yield _run_landing(tree, key)
+
+
+def _stretch_min(tree: RootedTree, w: int, table: DPTable):
+    """``(value, key)`` of the first minimum, the nearest on ties, of the
+    chosen keys ``(x, eta(x), 0, INF, bit(x), 0)`` over the vertices ``x``
+    from ``w`` down its monochrome stretch.  Every one of those keys is
+    computed, as by the scan it replaces.  ``table.stretch`` is filled
+    bottom-up from the first vertex that it already holds, so each key
+    finds the minimum below it stored and does not recurse down the stretch.
+    """
+    stretch = table.stretch
+    best = stretch.get(w)
+    if best is None:
+        path, pos = tree.run[w]
+        end = pos + tree._seg_end[w] - tree._depth[w]
+        p = pos + 1
+        while p <= end and path[p] not in stretch:
+            p += 1
+        best = stretch[path[p]] if p <= end else (INF, None)
+        memo = table.memo
+        for x in reversed(path[pos:p]):
+            key = (x, len(tree.children[x]), 0, INF, tree.color_bit[x], 0)
+            val = memo.get(key)
+            if val is None:
+                val = memo[key] = _compute(tree, key, table)
+            if val <= best[0]:
+                best = (val, key)
+            stretch[x] = best
+    return best
 
 
 def _run_landing(tree: RootedTree, key: tuple):
@@ -602,8 +723,9 @@ def _compute(tree: RootedTree, key: tuple, table: DPTable):
 
     :func:`_subkey_pairs` yields right subkeys already landed (``None`` is
     worth ``INF``), so ``step`` records a landing key as the argmin's right
-    part.  A left subkey is never a run key: under a one-child ``v`` it is
-    a key of ``T_0(v)``.
+    part.  A monochrome stretch comes as a vertex, and :func:`_stretch_min`
+    gives its first minimum's key.  A left subkey is never a run key:
+    under a one-child ``v`` it is a key of ``T_0(v)``.
     """
     _v, i, din = key[:3]
     if din == INF:
@@ -620,7 +742,10 @@ def _compute(tree: RootedTree, key: tuple, table: DPTable):
             continue
         right = memo.get(right_key)
         if right is None:
-            right = memo[right_key] = _compute(tree, right_key, table)
+            if right_key.__class__ is int:
+                right, right_key = _stretch_min(tree, right_key, table)
+            else:
+                right = memo[right_key] = _compute(tree, right_key, table)
         total = left + right
         if total < best:
             best = total

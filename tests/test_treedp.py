@@ -1,5 +1,6 @@
 import itertools
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -10,7 +11,8 @@ from consistent_subset import (ColoredGraph, PreconditionError,
 from consistent_subset import treedp
 from consistent_subset.treedp import (INF, DPTable, dp_entry,
                                       reconstruct_witness, root_tree,
-                                      _admissible, _side_keys)
+                                      _admissible, _run_landing,
+                                      _run_side_keys, _side_keys)
 
 from helpers import (RRBB, broom, caterpillar, make_dp_key, path_graph,
                      prefix_vertices, ref_adjacency, ref_distances,
@@ -27,6 +29,29 @@ SPIDER_EDGES = [(1, 2), (2, 3), (3, 4), (3, 5), (4, 6), (5, 7)]
 # inside 3 and outside 1 hops onto 3 exactly where inside and outside tie,
 # and the blue 3 sees red alone
 LEG_ROOTED_SPIDER = ColoredGraph(7, 2, SPIDER_EDGES, [RED, RED, BLUE] + [RED] * 4)
+
+# where a monochrome stretch of a run (its vertices from one down, while
+# they keep its color) ends or starts, for the scan by color segment
+GREEN = 3
+STRETCH_TREES = [
+    # ends at a color change inside the run, and a later red segment
+    path_graph([RED, RED, RED, BLUE, BLUE, RED]),
+    # ends at the run's red branching bottom vertex
+    broom([RED] * 4, [BLUE, RED]),
+    # ends at a red leaf: the red subtree leaves the empty key alone
+    path_graph([BLUE, BLUE] + [RED] * 4),
+    # starts below the chosen red centre of a spider, on its red leg
+    ColoredGraph(7, 2, [(1, 2), (2, 3), (3, 4), (1, 5), (5, 6), (1, 7)],
+                 [RED, RED, RED, BLUE, BLUE, RED, BLUE]),
+    # scanned under two colors: a blue inside tied with a red outside, and
+    # green below the stretch
+    ColoredGraph(6, 3, [(1, 2), (2, 3), (1, 4), (4, 5), (5, 6)],
+                 [RED, BLUE, RED, RED, RED, GREEN]),
+    # the red leg 1 - 2 - 3 fixes inside distance 2, which starts the scan
+    # of the leg 4 - 5 - 6 - 7 inside its blue segment 5 - 6
+    ColoredGraph(7, 3, [(1, 2), (2, 3), (1, 4), (4, 5), (5, 6), (6, 7)],
+                 [RED, RED, RED, RED, BLUE, BLUE, GREEN]),
+]
 
 
 # --------------------------------------------------------------------------
@@ -314,7 +339,7 @@ def test_memo_work_guard():
     # one-child runs resolved in one hop 5,579, 1,284 and 339,367 (the long
     # runs-path), and before right keys landed ahead of the memo 911, 1,102
     # and 16,441.  Each bound leaves about 10% over today's count.  On the
-    # path 1...1 2 a chosen vertex scans one child key per inside distance,
+    # path 1...1 2 a chosen vertex scanned one child key per inside distance,
     # and storing those before they landed built n(n+1)/2 = 500,500 keys.
     g = path_graph([RED, BLUE] * 200)
     assert solve_tree_mcs_detailed(g)[2].size <= 8 * g.n
@@ -327,6 +352,37 @@ def test_memo_work_guard():
         assert most is None or table.size <= most
         # the solver never stores a key that its color tests reject
         assert all(_admissible(tree, *key) for key in table.memo)
+
+
+def test_monochrome_stretch_work_guard(monkeypatch):
+    # split pairs and color-test calls, not time: on the path 1...1 2 a
+    # chosen vertex scanned one child key per inside distance (498,503
+    # pairs, 501,496 _need calls), and on two 1,000-vertex runs each scan
+    # ran _need down the second run (503,497 pairs, 1,001,999 calls).  By
+    # color segment they are 1,000 and 2,995, and 4,996 and 3,998.  Each
+    # bound leaves about 10% over that; keys and witnesses did not change.
+    counts = Counter()
+    subkey_pairs, need = treedp._subkey_pairs, treedp._need
+
+    def counted_pairs(tree, key):
+        for pair in subkey_pairs(tree, key):
+            counts["pairs"] += 1
+            yield pair
+
+    def counted_need(*args):
+        counts["need"] += 1
+        return need(*args)
+
+    monkeypatch.setattr(treedp, "_subkey_pairs", counted_pairs)
+    monkeypatch.setattr(treedp, "_need", counted_need)
+    for g, pairs, needs, keys, witness in (
+            (path_graph([RED] * 999 + [BLUE]), 1_100, 3_300, 2_996, (998, 1000)),
+            (runs_path(2000, 2, 1000, 1000, 1), 5_500, 4_400, 4_998, (1, 1999))):
+        counts.clear()
+        cert, _tree, table = solve_tree_mcs_detailed(g)
+        assert cert.witness == witness
+        assert table.size == keys
+        assert counts["pairs"] <= pairs and counts["need"] <= needs, counts
 
 
 def test_answer_is_min_over_root_keys():
@@ -457,7 +513,8 @@ ENUMERATION_TREES = ([random_tree(2 + s % 9, 2 + s % 2, 900 + s) for s in range(
                      # handle runs that land on a branching vertex
                      + [broom([RED, RED, BLUE, BLUE, RED, RED], [BLUE, RED, BLUE]),
                         broom([RED, BLUE, BLUE, RED, RED, BLUE], [RED, BLUE, RED, BLUE]),
-                        broom([1, 1, 2, 2, 3, 3, 1], [2, 3]), LEG_ROOTED_SPIDER])
+                        broom([1, 1, 2, 2, 3, 3, 1], [2, 3]), LEG_ROOTED_SPIDER]
+                     + STRETCH_TREES)
 
 
 @pytest.mark.parametrize("g", ENUMERATION_TREES)
@@ -731,7 +788,7 @@ def test_reconstruction_builds_no_key_and_does_not_recurse():
 RUN_TREES = [path_graph([RED, BLUE] * 5), path_graph([RED] * 7 + [BLUE]),
              runs_path(12, 2, 1, 3, 5), caterpillar(6, 2, 1, 2, 5),
              spider(3, 3, 2, 4, 6), LEG_ROOTED_SPIDER,
-             broom([RED, RED, BLUE, BLUE, RED, RED], [BLUE, RED, BLUE])]
+             broom([RED, RED, BLUE, BLUE, RED, RED], [BLUE, RED, BLUE])] + STRETCH_TREES
 
 
 def _run_keys(tree):
@@ -769,6 +826,41 @@ def test_no_run_key_reaches_compute(g, monkeypatch):
     for key in keys:
         dp_entry(tree, key, DPTable())
     assert computed
+
+
+@pytest.mark.parametrize("g", RUN_TREES)
+def test_run_side_keys_fold_the_depth_scan(g):
+    # under an outside at dext <= d0 + 1 holding u's color, the scan by
+    # color segment yields the landed keys of the depth-by-depth scan, save
+    # that the chosen keys of a monochrome stretch come as its first vertex
+    tree = root_tree(g, 1)
+    bit = tree.color_bit
+    scanned = 0
+    for u in range(1, g.n + 1):
+        if not tree.run[u]:
+            continue
+        depth = tree.depth_limit(u, 1)
+        for dext in range(1, depth + 3):
+            for cext in range(1, 1 << g.c):
+                if not bit[u] & cext:
+                    continue
+                for d0 in range(max(0, dext - 1), depth + 2):
+                    want = [_run_landing(tree, key) if 0 < key[2] < INF else key
+                            for key in _side_keys(tree, u, 1, d0, dext, cext)]
+                    got = []
+                    for key in _run_side_keys(tree, u, d0, dext, cext):
+                        if isinstance(key, int):
+                            stretch = [key]
+                            while (len(tree.children[stretch[-1]]) == 1
+                                   and bit[tree.children[stretch[-1]][0]] == bit[key]):
+                                stretch.append(tree.children[stretch[-1]][0])
+                            assert len(stretch) > 1
+                            got += [(x, tree.eta(x), 0, INF, bit[x], 0) for x in stretch]
+                        else:
+                            got.append(key)
+                    assert got == want, (u, d0, dext, cext)
+                    scanned += 1
+    assert scanned
 
 
 @pytest.mark.parametrize("g", RUN_TREES + [build(*args)
