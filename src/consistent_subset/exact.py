@@ -273,7 +273,8 @@ def _minimum_certificate(g: ColoredGraph, variant: str, cap: int) -> Certificate
     table = _layer_table(g)
     # one bit per group: gbit[u] is the bit of u's group, and gone[v] has
     # the bits of the groups with no vertex after v
-    group = blocks(g).block_of if strict else g.color
+    group = ({u: i for i, part in enumerate(blocks(g)) for u in part}
+             if strict else g.color)
     gbit = [0] + [1 << group[u] for u in vertices]
     gone = [0] * (g.n + 1)
     groups = 0

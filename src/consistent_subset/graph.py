@@ -22,8 +22,9 @@ hands both to the graph; the graph builds its edge set from that adjacency
 only when ``edges`` is first read, which neither checker nor the tree
 solver does.  A file laid out as :func:`format_graph` writes it is read in
 bulk, from one ``split`` of the text and counts that prove the layout;
-every other file takes one pass over its lines, which gives the same graph
-and is the only source of parse errors.
+every other file takes one plain pass over its lines that converts each
+field with ``int()``, which gives the same graph and is the only source of
+parse errors.
 
 Two line-oriented ASCII file formats are handled here (see the README for
 the full grammar):
@@ -243,19 +244,6 @@ def _validated_members(g: ColoredGraph, S) -> frozenset:
     return members
 
 
-def nearest_neighbors(g: ColoredGraph, v: int, S) -> frozenset:
-    """Members of ``S`` at minimum hop distance from ``v``.
-
-    ``S`` must be nonempty and at least one member reachable from ``v``.
-    """
-    members = _validated_members(g, S)
-    row = g.hops_from(v)
-    best = min(row[u] for u in members)
-    if best == UNREACHABLE:
-        raise PreconditionError(f"no member of S reachable from vertex {v}")
-    return frozenset(u for u in members if row[u] == best)
-
-
 def _consistency_scan(g: ColoredGraph, members, strict: bool) -> bool:
     """Unvalidated core of the checkers.
 
@@ -318,43 +306,25 @@ def is_strict_consistent(g: ColoredGraph, S) -> bool:
     return _consistency_scan(g, members, strict=True)
 
 
-@dataclass(frozen=True)
-class Blocks:
-    """Partition into maximal connected monochromatic vertex sets.
-
-    ``partition`` is ordered by smallest member; ``block_of`` maps each
-    vertex to its index in ``partition``.
-    """
-
-    partition: tuple
-    block_of: Mapping
-
-    def __len__(self) -> int:
-        return len(self.partition)
-
-
-def blocks(g: ColoredGraph) -> Blocks:
-    """Connected components of the subgraph kept by same-color edges."""
+def blocks(g: ColoredGraph) -> tuple[frozenset, ...]:
+    """Maximal connected monochromatic vertex sets, ordered by smallest
+    member: the components of the subgraph kept by same-color edges."""
     adj = g.adjacency
     color = g.color
-    block_of: dict[int, int] = {}
+    seen = [False] * (g.n + 1)
     parts = []
     for v in range(1, g.n + 1):
-        if v in block_of:
+        if seen[v]:
             continue
-        idx = len(parts)
-        block_of[v] = idx
+        seen[v] = True
         comp = [v]
-        stack = [v]
-        while stack:
-            u = stack.pop()
+        for u in comp:
             for w in adj[u]:
-                if w not in block_of and color[w] == color[u]:
-                    block_of[w] = idx
+                if not seen[w] and color[w] == color[u]:
+                    seen[w] = True
                     comp.append(w)
-                    stack.append(w)
         parts.append(frozenset(comp))
-    return Blocks(tuple(parts), block_of)
+    return tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -451,119 +421,82 @@ def parse_graph(text: str) -> ColoredGraph:
 
     A file laid out as :func:`format_graph` and ``consist gen`` write it is
     read in bulk by :func:`_parse_canonical`.  Any other file takes one
-    pass over the lines, which validates them and builds the colors and the
-    adjacency lists together; it gives the same graph, and every error.
-    The edge set is left to the graph to build if it is ever read.  In the
-    loop, an id token spelled as ``str(i)`` for ``i`` in ``1..n`` is
-    converted and range-checked by one lookup in a table of those
-    spellings; any other token (``01``, ``+1``, ``1_0``, non-ASCII digits,
-    out-of-range values) takes the ``int()`` path, which checks it in the
-    same order and with the same messages.
+    plain pass over its records, which converts every field with ``int()``,
+    validates it and stores only what the file holds: the colors by vertex,
+    the adjacency lists and the edge set.  It gives the same graph, and
+    every error.  The padded color tuple and the sorted adjacency are built
+    once the counts are checked; the edge set is not kept on the graph,
+    which builds its own if it is ever read.
     """
     g = _parse_canonical(text)
     if g is not None:
         return g
     header = None
     n = m = c = 0
-    stride = 1              # an edge {u, w} with u < w is noted as u*stride + w
-    ids: dict[str, int] = {}
-    colors: list | defaultdict = []
-    adj: list | defaultdict = []
-    colored = 0
-    seen: set[int] = set()
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        parts = raw.split()
-        if len(parts) == 3 and header is not None:
-            kind, a, b = parts
-            if kind == "e":
-                u = ids.get(a)
-                w = ids.get(b)
-                if u is None or w is None:
-                    try:
-                        u, w = int(a), int(b)
-                    except ValueError:
-                        raise ParseError(lineno, "edge line fields must be integers") from None
-                    if not (1 <= u <= n and 1 <= w <= n):
-                        raise ParseError(lineno, f"vertex id out of range 1..{n} in edge ({u},{w})")
-                if u < w:
-                    key = u * stride + w
-                elif u > w:
-                    key = w * stride + u
-                else:
-                    raise ParseError(lineno, f"self-loop at vertex {u}")
-                if key in seen:
-                    raise ParseError(lineno, f"duplicate edge ({min(u, w)},{max(u, w)})")
-                if len(seen) == m:
-                    raise ParseError(lineno, f"more than {m} edge lines")
-                seen.add(key)
-                adj[u].append(w)
-                adj[w].append(u)
-                continue
-            if kind == "v":
-                vid = ids.get(a)
-                col = ids.get(b)
-                if vid is None or col is None or col > c:
-                    try:
-                        vid, col = int(a), int(b)
-                    except ValueError:
-                        raise ParseError(lineno, "color line fields must be integers") from None
-                    if not (1 <= vid <= n):
-                        raise ParseError(lineno, f"vertex id {vid} out of range 1..{n}")
-                    if not (1 <= col <= c):
-                        raise ParseError(lineno, f"color id {col} out of range 1..{c}")
-                if colors[vid]:
-                    raise ParseError(lineno, f"duplicate color line for vertex {vid}")
-                colors[vid] = col
-                colored += 1
-                continue
-        if not parts or parts[0] == "c":
-            continue
+    colors: dict[int, int] = {}
+    adj: defaultdict[int, list[int]] = defaultdict(list)
+    edges: set[tuple[int, int]] = set()
+    for lineno, parts in _records(text):
         kind = parts[0]
         if header is None:
             if kind != "p" or len(parts) != 5 or parts[1] != "ccg":
                 raise ParseError(lineno,
                                  "expected header 'p ccg <n> <m> <colors>'")
             try:
-                n, m, c = int(parts[2]), int(parts[3]), int(parts[4])
+                n, m, c = map(int, parts[2:])
             except ValueError:
                 raise ParseError(lineno, "header fields must be integers") from None
             if n < 1 or m < 0 or c < 1:
                 raise ParseError(lineno, f"malformed header counts n={n} m={m} colors={c}")
             header = lineno
-            stride = n + 1
-            # A valid file has a color line per vertex, so a header claiming
-            # at least as many vertices as the file has lines is already
-            # wrong: it gets sparse maps, never n-sized lists or an id table.
-            if n < len(lines):
-                ids = {str(i): i for i in range(1, n + 1)}
-                colors = [0] * (n + 1)
-                adj = [[] for _ in range(n + 1)]
-            else:
-                colors = defaultdict(int)
-                adj = defaultdict(list)
-            continue
-        if kind == "p":
+        elif kind == "v" and len(parts) == 3:
+            try:
+                vid, col = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError(lineno, "color line fields must be integers") from None
+            if not (1 <= vid <= n):
+                raise ParseError(lineno, f"vertex id {vid} out of range 1..{n}")
+            if not (1 <= col <= c):
+                raise ParseError(lineno, f"color id {col} out of range 1..{c}")
+            if vid in colors:
+                raise ParseError(lineno, f"duplicate color line for vertex {vid}")
+            colors[vid] = col
+        elif kind == "e" and len(parts) == 3:
+            try:
+                u, w = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError(lineno, "edge line fields must be integers") from None
+            if not (1 <= u <= n and 1 <= w <= n):
+                raise ParseError(lineno, f"vertex id out of range 1..{n} in edge ({u},{w})")
+            if u == w:
+                raise ParseError(lineno, f"self-loop at vertex {u}")
+            edge = (u, w) if u < w else (w, u)
+            if edge in edges:
+                raise ParseError(lineno, f"duplicate edge ({edge[0]},{edge[1]})")
+            if len(edges) == m:
+                raise ParseError(lineno, f"more than {m} edge lines")
+            edges.add(edge)
+            adj[u].append(w)
+            adj[w].append(u)
+        elif kind == "p":
             raise ParseError(lineno, "duplicate header")
-        if kind == "v":
+        elif kind == "v":
             raise ParseError(lineno, "color line must be 'v <id> <color>'")
-        if kind == "e":
+        elif kind == "e":
             raise ParseError(lineno, "edge line must be 'e <u> <w>'")
-        raise ParseError(lineno, f"unrecognized line type {kind!r}")
-    last_line = len(lines)
-    del lines, ids          # free the line strings before the tuples are built
+        else:
+            raise ParseError(lineno, f"unrecognized line type {kind!r}")
     if header is None:
-        raise ParseError(max(1, last_line), "missing 'p ccg' header")
-    if colored != n:
-        missing = next(v for v in range(1, n + 1) if not colors[v])
-        raise ParseError(last_line, f"missing color line for vertex {missing}")
-    if len(seen) != m:
-        raise ParseError(last_line, f"expected {m} edge lines, found {len(seen)}")
-    # n color lines fit in the file, so both are the n-sized lists here
-    for nbrs in adj:
-        if len(nbrs) > 1:
-            nbrs.sort()
-    return ColoredGraph._from_parts(n, c, m, tuple(colors), tuple(map(tuple, adj)))
+        raise ParseError(max(1, len(text.splitlines())), "missing 'p ccg' header")
+    if len(colors) != n:
+        missing = next(v for v in range(1, n + 1) if v not in colors)
+        raise ParseError(len(text.splitlines()), f"missing color line for vertex {missing}")
+    if len(edges) != m:
+        raise ParseError(len(text.splitlines()),
+                         f"expected {m} edge lines, found {len(edges)}")
+    color = (0, *(colors[v] for v in range(1, n + 1)))
+    return ColoredGraph._from_parts(
+        n, c, m, color, tuple(tuple(sorted(adj[v])) for v in range(n + 1)))
 
 
 def format_graph(g: ColoredGraph) -> str:

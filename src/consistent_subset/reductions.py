@@ -297,6 +297,8 @@ def max2sat_to_tree(f: TwoSatFormula, M: int | None = None):
     n, m = f.n, f.m
     if M is None:
         M = max(1, n ** 3)
+    if not _is_int(M):
+        raise PreconditionError(f"M must be an integer, got {M!r}")
     if M < 1:
         raise PreconditionError("M must be at least 1")
     if n * (M + 2) + 2 * m + 1 >= (n + 1) * M:
@@ -478,6 +480,9 @@ def cubic_vc_to_intervals(g: ColoredGraph, p: int | None = None,
         p = n ** 3
     if q is None:
         q = n ** 4
+    for name, value in (("p", p), ("q", q)):
+        if not _is_int(value):
+            raise PreconditionError(f"{name} must be an integer, got {value!r}")
     if p < 1 or q < 1:
         raise PreconditionError("p and q must be at least 1")
     edge_index = {e: i for i, e in enumerate(sorted(g.edges), start=1)}

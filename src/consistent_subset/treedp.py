@@ -782,7 +782,9 @@ def reconstruct_witness(tree: RootedTree, key: tuple, table: DPTable) -> frozens
     return frozenset(acc)
 
 
-def _solve(g: ColoredGraph, color_cap: int):
+def solve_tree_mcs_detailed(g: ColoredGraph, color_cap: int = DEFAULT_COLOR_CAP):
+    """Optimal consistent subset of a colored tree via the prefix DP, with
+    the rooted tree and the filled table: ``(certificate, tree, table)``."""
     if not g.is_tree:
         raise PreconditionError("graph must be a tree (connected, n-1 edges)")
     if g.c > color_cap:
@@ -818,9 +820,4 @@ def _solve(g: ColoredGraph, color_cap: int):
 
 def solve_tree_mcs(g: ColoredGraph, color_cap: int = DEFAULT_COLOR_CAP) -> Certificate:
     """Optimal consistent subset of a colored tree via the prefix DP."""
-    return _solve(g, color_cap)[0]
-
-
-def solve_tree_mcs_detailed(g: ColoredGraph, color_cap: int = DEFAULT_COLOR_CAP):
-    """Like :func:`solve_tree_mcs` but also returns the tree and table."""
-    return _solve(g, color_cap)
+    return solve_tree_mcs_detailed(g, color_cap)[0]

@@ -39,9 +39,9 @@ from consistent_subset import (
     random_two_sat,
     set_cover_to_mscs,
     solve_tree_mcs,
-    solve_tree_mcs_detailed,
 )
 from consistent_subset.cli import main
+from consistent_subset.treedp import solve_tree_mcs_detailed
 
 from helpers import (
     RRBB_TEXT,
@@ -121,7 +121,7 @@ def test_04_strict_dominates_and_hits_blocks(capsys):
             assert strict.size >= plain.size
             assert is_strict_consistent(g, strict.witness)
             chosen = set(strict.witness)
-            for block in blocks(g).partition:
+            for block in blocks(g):
                 assert chosen & set(block)
 
 

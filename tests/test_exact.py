@@ -411,7 +411,7 @@ def test_mscs_at_least_mcs_and_hits_blocks():
         mscs = brute_force_mscs(g)
         assert mscs.size >= mcs.size
         witness = set(mscs.witness)
-        for part in blocks(g).partition:
+        for part in blocks(g):
             assert witness & part
 
 

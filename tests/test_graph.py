@@ -4,15 +4,17 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from consistent_subset import (Blocks, Certificate, ColoredGraph, ParseError,
-                               PreconditionError, blocks, format_graph,
-                               format_subset, is_consistent,
-                               is_strict_consistent, nearest_neighbors,
-                               parse_graph, parse_subset, solve_tree_mcs)
+from consistent_subset import (Certificate, ColoredGraph, ParseError,
+                               PreconditionError, blocks,
+                               cubic_vc_to_intervals, format_graph,
+                               format_subset, intervals_to_graph,
+                               is_consistent, is_strict_consistent,
+                               parse_graph, parse_subset, random_tree,
+                               solve_tree_mcs)
 from consistent_subset.graph import UNREACHABLE, _parse_canonical
 
-from helpers import (RRBB, RRBB_TEXT, path_graph, ref_is_consistent,
-                     star_graph)
+from helpers import (RRBB, RRBB_TEXT, caterpillar, complete_graph, path_graph,
+                     ref_is_consistent, star_graph)
 
 
 # --------------------------------------------------------------------------
@@ -178,7 +180,7 @@ def _error_case(text, line, name, message):
                 "missing color line for vertex 1"),
     _error_case("p ccg 2 2 1\nv 1 1\nv 2 1\ne 1 2\n", 4,
                 "expected 2 edge lines, found 1", "expected 2 edge lines, found 1"),
-    # complete bodies, so the header is small enough to get n-sized tables:
+    # complete bodies, so the error is the line's own and not a missing one:
     # ids and colors that are not plain spellings of 1..n keep their checks
     _error_case("p ccg 2 1 1\nv 0 1\nv 2 1\ne 1 2\n", 2, "vertex id 0 out of range",
                 "vertex id 0 out of range 1..2"),
@@ -341,6 +343,32 @@ def test_bulk_reader_matches_the_line_loop(g):
     assert bulk == looped
 
 
+def _large_graphs():
+    yield random_tree(3000, 3, 1)
+    yield random_tree(3000, 3, 2)
+    yield caterpillar(600, 3, 1, 4, 7)
+    yield intervals_to_graph(cubic_vc_to_intervals(complete_graph(4), p=2, q=2)[0])
+
+
+@pytest.mark.parametrize("g", _large_graphs(), ids=["tree-1", "tree-2",
+                                                     "caterpillar", "k4-intervals"])
+def test_line_loop_matches_the_bulk_reader_on_large_files(g):
+    # ids of several digits and high-degree vertices, through the loop alone:
+    # a trailing comment, the body in reverse order, every edge as ``e w u``
+    text = format_graph(g)
+    bulk = _parse_canonical(text)
+    assert bulk is not None
+    header, *body = text.splitlines()
+    flipped = [f"e {line.split()[2]} {line.split()[1]}" if line.startswith("e ")
+               else line for line in body]
+    for variant in (text + "c\n", "\n".join([header, *reversed(body)]) + "\n",
+                    "\n".join([header, *flipped]) + "\n"):
+        assert _parse_canonical(variant) is None
+        looped = parse_graph(variant)
+        assert (looped.m, looped.color, looped.adjacency) == \
+            (bulk.m, bulk.color, bulk.adjacency)
+
+
 @pytest.mark.parametrize("text, expected", [
     pytest.param("p ccg 2 1 1\r\nv 1 1\r\nv 2 1\r\ne 1 2\r\n",
                  path_graph([1, 1]), id="crlf"),
@@ -440,30 +468,7 @@ def test_distance_axioms(g):
 
 
 # --------------------------------------------------------------------------
-# nearest neighbors and the two checkers
-
-def test_nearest_neighbors_examples():
-    assert nearest_neighbors(RRBB, 2, {1, 3}) == frozenset({1, 3})
-    assert nearest_neighbors(RRBB, 4, {1, 3}) == frozenset({3})
-    assert nearest_neighbors(RRBB, 1, {1, 3}) == frozenset({1})
-
-
-def test_nearest_neighbors_validation():
-    with pytest.raises(PreconditionError):
-        nearest_neighbors(RRBB, 1, set())
-    with pytest.raises(PreconditionError):
-        nearest_neighbors(RRBB, 1, {9})
-    with pytest.raises(PreconditionError, match="^vertex 9 not in graph$"):
-        nearest_neighbors(RRBB, 9, {1})
-    with pytest.raises(PreconditionError, match=r"^vertex 2\.0 not in graph$"):
-        nearest_neighbors(RRBB, 2.0, {1})
-    # S is checked before v
-    with pytest.raises(PreconditionError, match="^subset must be nonempty$"):
-        nearest_neighbors(RRBB, 9, set())
-    disc = ColoredGraph(3, 1, [(1, 2)], {1: 1, 2: 1, 3: 1})
-    with pytest.raises(PreconditionError):
-        nearest_neighbors(disc, 3, {1})
-
+# the two checkers
 
 def test_checker_examples():
     assert is_consistent(RRBB, {1, 3})
@@ -551,32 +556,37 @@ def test_consistent_subset_covers_all_colors(g, data):
 # blocks
 
 def test_blocks_examples():
-    assert blocks(RRBB).partition == (frozenset({1, 2}), frozenset({3, 4}))
+    assert blocks(RRBB) == (frozenset({1, 2}), frozenset({3, 4}))
     rbr = path_graph([1, 2, 1])
-    assert blocks(rbr).partition == (frozenset({1}), frozenset({2}), frozenset({3}))
+    assert blocks(rbr) == (frozenset({1}), frozenset({2}), frozenset({3}))
     mono = path_graph([1, 1, 1])
-    assert blocks(mono).partition == (frozenset({1, 2, 3}),)
+    assert blocks(mono) == (frozenset({1, 2, 3}),)
     assert len(blocks(mono)) == 1
 
 
 def test_blocks_index_map():
-    b = blocks(RRBB)
-    assert b.block_of[1] == b.block_of[2] == 0
-    assert b.block_of[3] == b.block_of[4] == 1
+    # ordered by smallest member, so a block's index is its position
+    path = ColoredGraph(5, 2, [(1, 5), (1, 2), (2, 3), (3, 4)],
+                        {1: 1, 2: 2, 3: 1, 4: 1, 5: 1})
+    assert blocks(path) == (frozenset({1, 5}), frozenset({2}), frozenset({3, 4}))
+    index = {v: i for i, part in enumerate(blocks(RRBB)) for v in part}
+    assert index[1] == index[2] == 0
+    assert index[3] == index[4] == 1
 
 
 @given(connected_graphs())
 def test_blocks_partition_and_quotient(g):
     b = blocks(g)
+    block_of = {v: i for i, part in enumerate(b) for v in part}
     seen = set()
-    for part in b.partition:
+    for part in b:
         assert len({g.color[v] for v in part}) == 1
         assert not (seen & part)
         seen |= part
     assert seen == set(range(1, g.n + 1))
     # contracting blocks must leave no same-colored neighbors across blocks
     for u, w in g.edges:
-        if b.block_of[u] != b.block_of[w]:
+        if block_of[u] != block_of[w]:
             assert g.color[u] != g.color[w]
 
 

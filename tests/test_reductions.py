@@ -211,6 +211,15 @@ def test_tree_reduction_default_and_bad_m():
         max2sat_to_tree(f, M=0)
 
 
+@pytest.mark.parametrize("M", [True, 2.0])
+def test_tree_reduction_rejects_a_non_int_m(M):
+    # True would be written out as ``M=True`` in the sidecar, and 2.0 would
+    # reach ``range`` after a warning
+    f = TwoSatFormula(1, (((1, True), (1, False)),))
+    with pytest.raises(PreconditionError, match=f"^M must be an integer, got {M!r}$"):
+        max2sat_to_tree(f, M=M)
+
+
 def test_tree_reduction_small_m_warns():
     f = TwoSatFormula(1, (((1, True), (1, False)),))
     with pytest.warns(UserWarning):
@@ -309,6 +318,16 @@ def test_intervals_require_cubic():
         cubic_vc_to_intervals(path_graph([1, 1]))
     with pytest.raises(PreconditionError):
         cubic_vc_to_intervals(complete_graph(4), p=0)
+
+
+@pytest.mark.parametrize("p, q, bad", [(True, 1, "p"), (1.0, 1, "p"),
+                                       (1, True, "q"), (1, 2.0, "q")])
+def test_intervals_reject_non_int_p_and_q(p, q, bad):
+    # True would be written out as ``p=True``, and 1.0 fails in Fraction
+    value = p if bad == "p" else q
+    with pytest.raises(PreconditionError,
+                       match=f"^{bad} must be an integer, got {value!r}$"):
+        cubic_vc_to_intervals(complete_graph(4), p=p, q=q)
 
 
 def test_interval_defaults_on_k4():

@@ -7,12 +7,13 @@ from hypothesis import example, given, strategies as st
 
 from consistent_subset import (ColoredGraph, PreconditionError,
                                brute_force_mcs, is_consistent, random_tree,
-                               solve_tree_mcs, solve_tree_mcs_detailed)
+                               solve_tree_mcs)
 from consistent_subset import treedp
 from consistent_subset.treedp import (INF, DPTable, dp_entry,
                                       reconstruct_witness, root_tree,
-                                      _admissible, _run_landing,
-                                      _run_side_keys, _side_keys)
+                                      solve_tree_mcs_detailed, _admissible,
+                                      _run_landing, _run_side_keys,
+                                      _side_keys)
 
 from helpers import (RRBB, broom, caterpillar, make_dp_key, path_graph,
                      prefix_vertices, ref_adjacency, ref_distances,
