@@ -32,12 +32,14 @@ Three tests drop prefixes:
   class, and a strict consistent subset meets every block.  These groups
   are disjoint, so every group the prefix misses must meet ``future``, and
   the missed groups may not outnumber the picks left.  The frame carries
-  the missed groups as a mask, one bit per group.  Picking ``v`` clears the
-  bit of ``v``'s group, and a missed group fails to meet ``future`` exactly
-  when its largest vertex is ``v`` or earlier; one table per solve lists
-  those groups for each ``v``, so the test is O(1) per prefix.  A missed
-  group with no vertex after ``v`` fails every later sibling too, so the
-  walk then pushes no sibling frame.
+  the missed groups as a mask, one bit per group, and picking ``v`` clears
+  the bit of ``v``'s group.  One table per solve lists, for each ``v``,
+  the groups whose largest vertex is ``v`` or earlier.  A missed group
+  among them fails the sibling ``v + 1`` and every later one, so the walk
+  then pushes no sibling frame.  That check is the one that matters: every
+  frame is pushed past it, so each group a frame misses has a vertex at
+  ``v`` or later, every missed group but ``v``'s own meets ``future``, and
+  the test left at a node is the count, O(1) per prefix.
 - Layers.  At a vertex, let ``s`` be the first layer that meets
   ``chosen``, ``hit`` what it meets and ``own`` the vertex's color class;
   the own-color vertices of ``future`` are its rescuers.  In ``S = chosen
@@ -85,12 +87,11 @@ scan.  Group cuts are implied and not needed.
 The walks of successive sizes share their work.  ``future`` depends on
 ``v`` alone, so a node's verdicts change with k only through ``left``,
 which grows by one from each size to the next.  A node is cut for good,
-at this size and every larger one, when it has no room (``v + left >
-n``), when a missed group has no vertex after ``v``, or when the layer
-test fails.  It is cut for this size only when it misses more groups than
-it has picks left, or when its rescue bound exceeds them; the frame
-carries the bound, so the next size compares it again and does not
-recompute it.  A chain is cut for this size when none of its tuples
+at this size and every larger one, when it has no room (``v + left > n``)
+or when the layer test fails.  It is cut for this size only when it misses
+more groups than it has picks left, or when its rescue bound exceeds them;
+the frame carries the bound, so the next size compares it again and does
+not recompute it.  A chain is cut for this size when none of its tuples
 passes.  The size cuts, in walk order, are the frontier that the walk of
 the next size starts from.  A frontier node pushes no sibling: the earlier
 walk pushed it already.  A frontier chain keeps ``sibling = True``: at the
@@ -313,8 +314,6 @@ def _minimum_certificate(g: ColoredGraph, variant: str, cap: int) -> Certificate
             if sibling and not missed & gone[v]:
                 stack.append((v + 1, prefix, missed, True, None))
             miss = missed & ~gbit[v]
-            if miss & gone[v]:
-                continue
             if miss.bit_count() > left:
                 # too many missed groups: the frame may pass at the next size
                 frontier.append((v, prefix, missed, False, bound))

@@ -26,6 +26,13 @@ every other file takes one plain pass over its lines that converts each
 field with ``int()``, which gives the same graph and is the only source of
 parse errors.
 
+Every line reader of the package, here and in the reductions module,
+shares three rules: ``_records`` yields the numbered lines that are not
+blank or ``c`` comments, ``_header`` reads a ``p <kind> <counts...>``
+header and builds its three messages (shape, integer fields, count
+bounds) from the count names, and ``_ints`` converts integer fields and
+names them in its one message.
+
 Two line-oriented ASCII file formats are handled here (see the README for
 the full grammar):
 
@@ -42,14 +49,11 @@ input, empty subsets, enumeration caps...) raise :class:`PreconditionError`.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import lt
 from typing import Iterable, Mapping
-
-UNREACHABLE = math.inf
 
 #: What ``str.split()`` takes as whitespace in ASCII, beside space and newline
 _OTHER_SPACE = "\t\r\x0b\x0c\x1c\x1d\x1e\x1f"
@@ -82,6 +86,29 @@ def _records(text: str):
             yield lineno, parts
 
 
+def _ints(lineno: int, fields, what: str) -> list[int]:
+    """``fields`` converted by ``int()``; a field it rejects raises
+    :class:`ParseError` ``<what> must be integers``."""
+    try:
+        return list(map(int, fields))
+    except ValueError:
+        raise ParseError(lineno, f"{what} must be integers") from None
+
+
+def _header(lineno: int, parts, kind: str, names, lows) -> list[int]:
+    """The counts of the header line ``p <kind> <names...>``; each must be
+    at least its entry of ``lows``.  Every message is built from ``names``:
+    the header's shape, then integer fields, then the count bounds."""
+    if len(parts) != 2 + len(names) or parts[0] != "p" or parts[1] != kind:
+        shape = " ".join(f"<{name}>" for name in names)
+        raise ParseError(lineno, f"expected header 'p {kind} {shape}'")
+    counts = _ints(lineno, parts[2:], "header fields")
+    if any(map(lt, counts, lows)):
+        given = " ".join(map("{}={}".format, names, counts))
+        raise ParseError(lineno, f"malformed header counts {given}")
+    return counts
+
+
 def _is_vertex(g: ColoredGraph, v) -> bool:
     """A vertex id of ``g``: an ``int`` in ``1..n``.  A float would fail
     later as a list index, and ``True`` would be taken as vertex 1 (``False``
@@ -99,9 +126,9 @@ class ColoredGraph:
     from :func:`parse_graph` builds it from the sorted adjacency on first
     read.  The sorted adjacency comes from :func:`parse_graph` for a parsed
     graph and is otherwise computed on first use; connectivity is computed
-    on first use.  All three are cached; hop distances are not
-    (:meth:`hops_from` runs a fresh BFS).  The identity fields never change
-    after construction.
+    on first use, by one search from vertex 1.  All three are cached; no
+    distances are kept.  The identity fields never change after
+    construction.
     """
 
     __slots__ = ("n", "c", "m", "color",
@@ -193,27 +220,20 @@ class ColoredGraph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def hops_from(self, source: int) -> list:
-        """BFS hop distances from ``source``, indexed by vertex id (index 0
-        is padding); ``UNREACHABLE`` where no path."""
-        if not _is_vertex(self, source):
-            raise PreconditionError(f"vertex {source} not in graph")
-        adj = self.adjacency
-        dist: list = [UNREACHABLE] * (self.n + 1)
-        dist[source] = 0
-        order = [source]
-        for u in order:
-            du = dist[u] + 1
-            for w in adj[u]:
-                if dist[w] is UNREACHABLE:
-                    dist[w] = du
-                    order.append(w)
-        return dist
-
     @property
     def is_connected(self) -> bool:
+        """Does one search from vertex 1 reach every vertex?"""
         if self._connected is None:
-            self._connected = UNREACHABLE not in self.hops_from(1)[1:]
+            adj = self.adjacency
+            seen = bytearray(self.n + 1)
+            seen[1] = 1
+            order = [1]
+            for u in order:
+                for w in adj[u]:
+                    if not seen[w]:
+                        seen[w] = 1
+                        order.append(w)
+            self._connected = len(order) == self.n
         return self._connected
 
     @property
@@ -439,21 +459,10 @@ def parse_graph(text: str) -> ColoredGraph:
     for lineno, parts in _records(text):
         kind = parts[0]
         if header is None:
-            if kind != "p" or len(parts) != 5 or parts[1] != "ccg":
-                raise ParseError(lineno,
-                                 "expected header 'p ccg <n> <m> <colors>'")
-            try:
-                n, m, c = map(int, parts[2:])
-            except ValueError:
-                raise ParseError(lineno, "header fields must be integers") from None
-            if n < 1 or m < 0 or c < 1:
-                raise ParseError(lineno, f"malformed header counts n={n} m={m} colors={c}")
+            n, m, c = _header(lineno, parts, "ccg", ("n", "m", "colors"), (1, 0, 1))
             header = lineno
         elif kind == "v" and len(parts) == 3:
-            try:
-                vid, col = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(lineno, "color line fields must be integers") from None
+            vid, col = _ints(lineno, parts[1:], "color line fields")
             if not (1 <= vid <= n):
                 raise ParseError(lineno, f"vertex id {vid} out of range 1..{n}")
             if not (1 <= col <= c):
@@ -462,10 +471,7 @@ def parse_graph(text: str) -> ColoredGraph:
                 raise ParseError(lineno, f"duplicate color line for vertex {vid}")
             colors[vid] = col
         elif kind == "e" and len(parts) == 3:
-            try:
-                u, w = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(lineno, "edge line fields must be integers") from None
+            u, w = _ints(lineno, parts[1:], "edge line fields")
             if not (1 <= u <= n and 1 <= w <= n):
                 raise ParseError(lineno, f"vertex id out of range 1..{n} in edge ({u},{w})")
             if u == w:
@@ -515,10 +521,7 @@ def parse_subset(text: str, n: int) -> tuple[int, ...]:
             raise ParseError(lineno, "expected subset line 's <id> <id> ...'")
         if chosen is not None:
             raise ParseError(lineno, "duplicate subset line")
-        try:
-            ids = list(map(int, parts[1:]))
-        except ValueError:
-            raise ParseError(lineno, "subset ids must be integers") from None
+        ids = _ints(lineno, parts[1:], "subset ids")
         if not ids:
             raise ParseError(lineno, "subset must list at least one vertex")
         if not all(map(lt, ids, ids[1:])):

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .graph import (Certificate, ColoredGraph, ParseError, PreconditionError,
-                    _is_int, _records)
+                    _header, _ints, _is_int, _records)
 
 
 # --------------------------------------------------------------------------
@@ -78,21 +78,11 @@ def parse_cnf2(text: str) -> TwoSatFormula:
         if parts[0] == "p":
             if n is not None:
                 raise ParseError(lineno, "duplicate header")
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError(lineno, "expected header 'p cnf <vars> <clauses>'")
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(lineno, "header fields must be integers") from None
-            if n < 1 or m < 0:
-                raise ParseError(lineno, f"malformed header counts vars={n} clauses={m}")
+            n, m = _header(lineno, parts, "cnf", ("vars", "clauses"), (1, 0))
             continue
         if n is None:
             raise ParseError(lineno, "clause before 'p cnf' header")
-        try:
-            lits = [int(x) for x in parts]
-        except ValueError:
-            raise ParseError(lineno, "clause literals must be integers") from None
+        lits = _ints(lineno, parts, "clause literals")
         if not lits or lits[-1] != 0:
             raise ParseError(lineno, "clause line must end with 0")
         lits = lits[:-1]
@@ -150,23 +140,13 @@ def parse_set_cover(text: str) -> SetCoverInstance:
         if parts[0] == "p":
             if n is not None:
                 raise ParseError(lineno, "duplicate header")
-            if len(parts) != 4 or parts[1] != "sc":
-                raise ParseError(lineno, "expected header 'p sc <n> <m>'")
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(lineno, "header fields must be integers") from None
-            if n < 1 or m < 1:
-                raise ParseError(lineno, f"malformed header counts n={n} m={m}")
+            n, m = _header(lineno, parts, "sc", ("n", "m"), (1, 1))
             continue
         if parts[0] != "s":
             raise ParseError(lineno, f"unrecognized line type {parts[0]!r}")
         if n is None:
             raise ParseError(lineno, "set line before 'p sc' header")
-        try:
-            nums = [int(x) for x in parts[1:]]
-        except ValueError:
-            raise ParseError(lineno, "set line fields must be integers") from None
+        nums = _ints(lineno, parts[1:], "set line fields")
         if not nums:
             raise ParseError(lineno, "set line must name a set index")
         idx, elems = nums[0], nums[1:]
@@ -270,19 +250,6 @@ class TreeReductionLayout:
     clause_path: Mapping   # (clause, 1..7) -> vid, connector path
     center: tuple          # (v1, v2, v3)
 
-    def roles(self):
-        variable = (("x", self.pos_path, 4), ("xbar", self.neg_path, 4),
-                    ("s", self.pos_stab, self.M), ("sbar", self.neg_stab, self.M))
-        clause = (("y", self.left_path, 7), ("z", self.right_path, 7),
-                  ("w", self.clause_path, 7))
-        for total, parts in ((self.n, variable), (self.m, clause)):
-            for i in range(1, total + 1):
-                for name, part, count in parts:
-                    for a in range(1, count + 1):
-                        yield f"{name}{i}^{a}", part[(i, a)]
-        for a, vid in enumerate(self.center, start=1):
-            yield f"v{a}", vid
-
 
 def max2sat_to_tree(f: TwoSatFormula, M: int | None = None):
     """Tree whose optimum counts the best-assignment satisfied clauses.
@@ -308,13 +275,16 @@ def max2sat_to_tree(f: TwoSatFormula, M: int | None = None):
 
     colors: list[int] = []         # vertex v has colour colors[v - 1]
     edges: list[tuple[int, int]] = []
+    roles: list[tuple[str, int]] = []
 
-    def run(roles, key, count, color, hub=None):
-        """``count`` new vertices as ``roles[(key, 1..count)]``, joined as a
-        path of colour ``color``; with a ``hub``, each joins the hub instead
-        and they take colours ``color, color+1, ...`` (the stabilizers)."""
+    def run(part, key, name, count, color, hub=None):
+        """``count`` new vertices as ``part[(key, 1..count)]``, with sidecar
+        roles ``name`` followed by ``1..count``, joined as a path of colour
+        ``color``; with a ``hub``, each joins the hub instead and they take
+        colours ``color, color+1, ...`` (the stabilizers)."""
         for a in range(1, count + 1):
-            vid = roles[(key, a)] = len(colors) + 1
+            vid = part[(key, a)] = len(colors) + 1
+            roles.append((f"{name}{a}", vid))
             colors.append(color if hub is None else color + a - 1)
             if hub or a > 1:
                 edges.append((hub or vid - 1, vid))
@@ -324,18 +294,18 @@ def max2sat_to_tree(f: TwoSatFormula, M: int | None = None):
     # colours: literal x_i is 2i-1 and its negation 2i; then one per
     # stabilizer pair (both twins share it), one per clause, and the centre
     for i in range(1, n + 1):
-        run(pos_path, i, 4, 2 * i - 1)
-        run(neg_path, i, 4, 2 * i)
-        run(pos_stab, i, M, 2 * n + (i - 1) * M + 1, pos_path[(i, 1)])
-        run(neg_stab, i, M, 2 * n + (i - 1) * M + 1, neg_path[(i, 1)])
+        run(pos_path, i, f"x{i}^", 4, 2 * i - 1)
+        run(neg_path, i, f"xbar{i}^", 4, 2 * i)
+        run(pos_stab, i, f"s{i}^", M, 2 * n + (i - 1) * M + 1, pos_path[(i, 1)])
+        run(neg_stab, i, f"sbar{i}^", M, 2 * n + (i - 1) * M + 1, neg_path[(i, 1)])
     for i, ((va, pa), (vb, pb)) in enumerate(f.clauses, start=1):
-        run(left_path, i, 7, 2 * va - pa)
-        run(right_path, i, 7, 2 * vb - pb)
-        run(clause_path, i, 7, 2 * n + n * M + i)
+        run(left_path, i, f"y{i}^", 7, 2 * va - pa)
+        run(right_path, i, f"z{i}^", 7, 2 * vb - pb)
+        run(clause_path, i, f"w{i}^", 7, 2 * n + n * M + i)
         edges.append((left_path[(i, 1)], clause_path[(i, 2)]))
         edges.append((right_path[(i, 1)], clause_path[(i, 6)]))
     center_color = 2 * n + n * M + m + 1
-    run(center, 0, 3, center_color)
+    run(center, 0, "v", 3, center_color)
     v1 = center[(0, 1)]
     edges.extend((path[(i, 1)], v1) for i in range(1, n + 1)
                  for path in (pos_path, neg_path))
@@ -353,7 +323,7 @@ def max2sat_to_tree(f: TwoSatFormula, M: int | None = None):
         params=(("n", n), ("m", m), ("M", M)),
         formula="N(k)=n*(M+2)+2k+3(m-k)+1",
         size_fn=lambda k, _n=n, _m=m, _M=M: _n * (_M + 2) + 2 * k + 3 * (_m - k) + 1,
-        roles=tuple(layout.roles()),
+        roles=tuple(roles),
     )
     return tree, layout, meta
 
@@ -613,14 +583,6 @@ class SetCoverLayout:
     r1: int
     r2: int
 
-    def roles(self):
-        for e in sorted(self.elements):
-            yield f"x{e}", self.elements[e]
-        for j in sorted(self.sets):
-            yield f"y{j}", self.sets[j]
-        yield "r1", self.r1
-        yield "r2", self.r2
-
 
 def set_cover_to_mscs(sc: SetCoverInstance):
     """Membership graph + set clique + a red two-vertex tail.
@@ -634,6 +596,8 @@ def set_cover_to_mscs(sc: SetCoverInstance):
     elements = {e: e for e in range(1, n + 1)}
     set_vs = {j: n + j for j in range(1, m + 1)}
     r1, r2 = n + m + 1, n + m + 2
+    roles = (*((f"x{e}", v) for e, v in elements.items()),
+             *((f"y{j}", v) for j, v in set_vs.items()), ("r1", r1), ("r2", r2))
     edges = []
     for j, s in enumerate(sc.sets, start=1):
         for e in sorted(s):
@@ -651,7 +615,7 @@ def set_cover_to_mscs(sc: SetCoverInstance):
         params=(("n", n), ("m", m)),
         formula="k+1",
         size_fn=lambda k: k + 1,
-        roles=tuple(layout.roles()),
+        roles=roles,
     )
     return graph, layout, meta
 
@@ -668,13 +632,6 @@ class PendantLayout:
     b1: Mapping
     b2: Mapping
     b3: Mapping
-
-    def roles(self):
-        for v in range(1, self.n + 1):
-            yield f"r1_{v}", self.r1[v]
-            yield f"b1_{v}", self.b1[v]
-            yield f"b2_{v}", self.b2[v]
-            yield f"b3_{v}", self.b3[v]
 
 
 def planar_ds_to_mscs(g: ColoredGraph):
@@ -693,9 +650,11 @@ def planar_ds_to_mscs(g: ColoredGraph):
     r1, b1, b2, b3 = {}, {}, {}, {}
     edges = list(g.edges)
     colors = [1] * n
+    roles = []
     for v in range(1, n + 1):
         path = (v, *range(len(colors) + 1, len(colors) + 5))
         r1[v], b1[v], b2[v], b3[v] = path[1:]
+        roles += zip((f"r1_{v}", f"b1_{v}", f"b2_{v}", f"b3_{v}"), path[1:])
         edges.extend(zip(path, path[1:]))
         colors += (1, 2, 2, 2)
     graph = ColoredGraph(5 * n, 2, edges, colors)
@@ -705,7 +664,7 @@ def planar_ds_to_mscs(g: ColoredGraph):
         params=(("n", n), ("m", g.m)),
         formula="n+k",
         size_fn=lambda k, _n=n: _n + k,
-        roles=tuple(layout.roles()),
+        roles=tuple(roles),
     )
     return graph, layout, meta
 

@@ -195,7 +195,9 @@ class RootedTree:
     color.  The solver uses those to prune infeasible keys.  The color and
     LCA rows hold the deepest level first and are shared along first
     children (a one-child run keeps one row), so a row may be longer than
-    a prefix that reads it: every read goes through ``depth_limit``.
+    a prefix that reads it: every read, whether through ``depth_limit`` or
+    a hot path indexing ``_top``, ``_pref`` and ``_near`` directly, is
+    bounded by the prefix's ``_top``.
 
     The run index ``run`` holds, for each vertex with exactly one child, a
     pair ``(path, pos)``: ``path`` is its maximal run of one-child vertices

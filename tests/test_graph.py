@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import pytest
@@ -11,10 +10,11 @@ from consistent_subset import (Certificate, ColoredGraph, ParseError,
                                is_consistent, is_strict_consistent,
                                parse_graph, parse_subset, random_tree,
                                solve_tree_mcs)
-from consistent_subset.graph import UNREACHABLE, _parse_canonical
+from consistent_subset.graph import _parse_canonical
 
 from helpers import (RRBB, RRBB_TEXT, caterpillar, complete_graph, path_graph,
-                     ref_is_consistent, star_graph)
+                     ref_adjacency, ref_distances, ref_is_consistent,
+                     star_graph)
 
 
 # --------------------------------------------------------------------------
@@ -315,7 +315,7 @@ def test_round_trip_any_graph(g, data):
     body = [f"e {line.split()[2]} {line.split()[1]}" if line.startswith("e ")
             and data.draw(st.booleans()) else line for line in body]
     shuffled = "\n".join([header, *data.draw(st.permutations(body))]) + "\n"
-    reachable = all(d != UNREACHABLE for d in g.hops_from(1)[1:])
+    reachable = len(ref_distances(ref_adjacency(g.n, g.edges), 1)) == g.n
     for parsed in (parse_graph(text), parse_graph(shuffled)):
         assert parsed.m == g.m
         assert parsed.adjacency == g.adjacency
@@ -424,47 +424,6 @@ def test_bulk_reader_refuses_other_layouts(text, expected):
             parse_graph(text)
         assert exc.value.line == line
         assert str(exc.value) == f"line {line}: {message}"
-
-
-# --------------------------------------------------------------------------
-# distances
-
-def test_distance_matrix_on_path():
-    d = [()] + [RRBB.hops_from(u) for u in range(1, 5)]
-    assert d[1][4] == 3
-    assert d[4][1] == 3
-    assert d[2][2] == 0
-    assert all(d[u][w] == d[w][u] for u in range(1, 5) for w in range(1, 5))
-
-
-def test_distance_unreachable():
-    disc = ColoredGraph(3, 1, [(1, 2)], {1: 1, 2: 1, 3: 1})
-    assert disc.hops_from(1)[3] == UNREACHABLE
-    assert math.isinf(disc.hops_from(3)[1])
-
-
-@pytest.mark.parametrize("source", [0, -1, 5, 1.5, 2.0, True])
-def test_hops_from_rejects_a_vertex_outside_the_graph(source):
-    # RRBB has 4 vertices; -1 would index from the end, 0 is padding, a
-    # float is no list index, and True would be taken as vertex 1
-    with pytest.raises(PreconditionError, match=f"^vertex {source} not in graph$"):
-        RRBB.hops_from(source)
-
-
-@given(connected_graphs())
-def test_distance_axioms(g):
-    verts = range(1, g.n + 1)
-    d = [()] + [g.hops_from(u) for u in verts]
-    for u in verts:
-        assert d[u][u] == 0
-        for w in verts:
-            assert d[u][w] == d[w][u]
-            if u != w:
-                assert (d[u][w] == 1) == ((min(u, w), max(u, w)) in g.edges)
-    for u in verts:
-        for w in verts:
-            for x in verts:
-                assert d[u][w] <= d[u][x] + d[x][w]
 
 
 # --------------------------------------------------------------------------
@@ -620,6 +579,7 @@ def test_parse_subset_errors(text, fragment):
     ("s 0 5\n", 2, "vertex id 0 out of range 1..2"),
     # a decreasing pair is named before an id out of range
     ("s 0 9 3\n", 4, "subset ids must be strictly increasing"),
+    ("s 1 x\n", 3, "subset ids must be integers"),
 ])
 def test_parse_subset_error_order(text, n, message):
     with pytest.raises(ParseError) as exc:

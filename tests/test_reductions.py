@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -65,6 +66,36 @@ def test_parse_cnf2_errors(text, line, fragment):
     assert exc.value.line == line and fragment in str(exc.value)
 
 
+@pytest.mark.parametrize("reader, text, line, message", [
+    (parse_cnf2, "p cnf 2\n1 2 0\n", 1, "expected header 'p cnf <vars> <clauses>'"),
+    (parse_cnf2, "p cnf 0 1\n1 2 0\n", 1, "malformed header counts vars=0 clauses=1"),
+    (parse_cnf2, "p cnf 2 1\n1 x 0\n", 2, "clause literals must be integers"),
+    (parse_intervals, "c nothing\n\n", 2, "no interval lines found"),
+    (parse_intervals, "", 1, "no interval lines found"),
+])
+def test_reader_error_messages(reader, text, line, message):
+    with pytest.raises(ParseError) as exc:
+        reader(text)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("n, clauses, message", [
+    (0, (), "formula needs at least one variable"),
+    (1, (((1, True), (1, False), (1, True)),), "every clause must have exactly two literals"),
+    (1, (((1, 1), (1, False)),), "literal polarity must be a bool"),
+])
+def test_two_sat_formula_validation(n, clauses, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TwoSatFormula(n, clauses)
+
+
+def test_min_set_cover_refuses_sets_that_miss_an_element():
+    with pytest.raises(PreconditionError,
+                       match="^the union of the sets does not cover the universe$"):
+        min_set_cover(SimpleNamespace(n=2, sets=[{1}]))
+
+
 def test_parse_set_cover_golden():
     sc = parse_set_cover("p sc 4 3\ns 1 1 2 3\ns 2 1 3\ns 3 4\n")
     assert sc == COVER43
@@ -106,6 +137,8 @@ def test_set_cover_instance_validation():
         SetCoverInstance(1, (frozenset({1, 2}),))       # out of range
     with pytest.raises(ValueError):
         SetCoverInstance(1, ())
+    with pytest.raises(ValueError, match="^universe must be nonempty$"):
+        SetCoverInstance(0, (frozenset(),))
 
 
 def test_set_cover_instance_rejects_a_non_int_element():

@@ -401,7 +401,7 @@ def test_answer_is_min_over_root_keys():
 # matching slice of any consistent set without breaking consistency
 
 def _induced_key(tree, g, members, v, i):
-    dists = g.hops_from(v)
+    dists = ref_distances(ref_adjacency(g.n, g.edges), v)
 
     def profile(group):
         found = [dists[u] for u in group if u in members]
