@@ -34,7 +34,8 @@ Recursion.  A key is resolved by case analysis:
 2. ``din == INF`` (nothing chosen inside): once step 1 passes, every
    prefix color lies in ``cext``, so the key is worth 0;
 3. ``i == 0``: ``T_0(v) = {v}`` realizes only ``din == 0``, where step 1
-   leaves ``cin == {color(v)}`` (``v`` chosen), worth 1;
+   leaves ``cin == {color(v)}`` (``v`` chosen), worth 1 (the fill reads
+   the values of steps 2 and 3 where it meets such a key, and stores none);
 4. otherwise split ``din``/``cin`` over the two parts of ``T_i(v)``:
    choose the distance ``da`` and colors ``ca`` seen inside ``T_{i-1}(v)``
    and ``db``/``cb`` inside ``T(v_i)``, subject to ``min(da, db) == din``
@@ -46,8 +47,9 @@ Recursion.  A key is resolved by case analysis:
    because for each subkey the side attaining ``din`` is its inside or a
    nearer part of its outside.  A chosen ``v`` is the split whose left
    part is chosen: the left key keeps ``din == 0`` and the child sees
-   ``color(v)`` at distance 1, nearer than anything beyond ``v``.  An
-   unchosen one-child vertex has one split; see "One-child runs".
+   ``color(v)`` at distance 1, nearer than anything beyond ``v``.  A key
+   of a first-child prefix ``T_1(v)`` with finite ``din >= 1`` has one
+   split; see "First-child prefixes".
 
 Color sets are int bitmasks (bit ``k`` = color ``k+1``).  All minima are
 taken in a fixed documented order (splits: shared distance first, then
@@ -97,34 +99,59 @@ with no pruning at all:
 * Color-count floor.  A consistent subset holds a vertex of every color
   present, so the root scan stops at the first key worth that many; it
   keeps the first strict minimum, which no later key could beat.
-* One-child runs.  A vertex ``v`` with one child has only the prefix
-  ``T_1(v)``, and with finite ``din >= 1`` its part ``T_0(v) = {v}``
-  cannot attain ``din``: the key has one split, ``v`` unchosen and the
-  child's key fixed, and is worth that key (``v``'s own test makes the
-  empty left key worth 0).  The same holds at the child while it has one
-  child and a nonzero inside distance, so the solver walks ``j = min(din,
-  one-child steps left in v's run)`` hops down to ``w`` and takes the one
-  key ``(w, eta(w), din - j, dext + j, cin, cext)``, canonicalized
-  (``(INF, 0)`` when ``dext + j > din - j``; the outside only moves away
-  along the walk, so this is the key that hop-by-hop canonicalizing
-  reaches).  The keys in between are never built.  Every vertex of
-  ``T_1(v)`` at depth ``t >= 1`` lies in ``T(w_t)``, the subtree of the
-  walk's vertex ``w_t`` at that depth, so the level at ``din``, its LCA
-  and the exact-depth test are the same for every key of the walk.
-  Hence ``v``'s near-outside bound (depths ``< (din - dext + 1) // 2``)
-  and far-side bound (depths ``>= (din - dext) // 2 + 1`` on the path to
-  that LCA; at ``din == 1`` the exact-depth test) imply every test of
-  every key of the walk but one: where inside and outside tie, ``din -
-  dext`` even and ``m = (din - dext) / 2`` with ``1 <= m <= j``, the
-  vertex ``w_m`` must have a color in ``cin | cext``, else the key is
-  ``INF``.  So the landing key passes the color tests, and values, first
-  argmins and witnesses are unchanged.  Branching vertices, a chosen
-  ``v`` and leaves keep the split recurrence.  A run key is landed where
-  it is requested, so none is computed: the split scan yields a right
-  key already landed, so those are never stored (on a path colored
-  ``1...1 2`` rooted at the ``1`` end, storing them took n(n+1)/2 keys),
-  and ``dp_entry`` stores one it is asked for with its landing's value.
-  ``step`` records the landing key either way.
+* First-child prefixes.  ``T_1(v)`` is ``v`` and ``T(v_1)``, ``v_1`` its
+  first child, and with finite ``din >= 1`` its part ``T_0(v) = {v}``
+  cannot attain ``din``, whatever ``v``'s child count: the key has one
+  split, ``v`` unchosen and the child's key ``(v_1, eta(v_1), din - 1,
+  dext + 1, cin, cext)`` fixed, and is worth that key (``v``'s own test
+  makes the empty left key worth 0).  The child's key is again a
+  first-child prefix's while ``v_1`` has one child and a nonzero inside
+  distance, so the solver walks one hop to ``v_1`` and on down ``v_1``'s
+  one-child run, ``j = min(din, 1 + one-child steps left from v_1)`` hops
+  in all, to ``w``, and takes the one key ``(w, eta(w), din - j, dext + j,
+  cin, cext)``, canonicalized (``(INF, 0)`` when ``dext + j > din - j``;
+  the outside only moves away along the walk, so this is the key that
+  hop-by-hop canonicalizing reaches).  The keys in between are never
+  built.  Let ``w_t`` be the walk's vertex at depth ``t`` (``w_1 = v_1``)
+  and ``K_t`` its key, with inside ``din - t`` and outside ``dext + t``.
+  Every vertex of ``T_1(v)`` at depth ``s >= t`` lies in ``T(w_t)`` at
+  depth ``s - t``, so ``K_t`` has the key's level at ``din``, and with it
+  the same LCA ``x`` of that level and the same exact-depth test; and
+  ``x`` lies in ``T(w_t)``, so ``w_t`` is on the path from ``v`` to ``x``.
+  Each other test of ``K_t`` is one of ``v``'s key at depth ``t`` more:
+
+  - its near-outside bound, when ``dext + t < din - t``, asks depths
+    ``k < (din - dext - 2t + 1) // 2`` below ``w_t``, that is, depths
+    ``t + k < (din - dext + 1) // 2`` below ``v``: ``v``'s near-outside
+    bound;
+  - its far-side bound asks the path to ``x`` from depth ``t + k`` with
+    ``2k > din - dext - 2t``, that is, ``2(t + k) > din - dext``: ``v``'s
+    far-side bound (when ``K_t`` is canonicalized to ``(INF, 0)``,
+    ``2t > din - dext`` already, so it asks every depth below ``w_t``, as
+    ``v``'s does);
+  - ``w_t``'s own test: with ``2t < din - dext``, ``w_t`` lies within
+    ``v``'s near-outside bound, so its color is in ``cext``, which it sees
+    alone; with ``2t > din - dext`` and ``t < din``, it lies within ``v``'s
+    far-side bound, so its color is in ``cin``, which it sees alone; at
+    ``t == din`` the level is ``w`` alone and the exact-depth test gives
+    ``cin = {color(w)}``.
+
+  So ``v``'s own test, near-outside and far-side bounds (at ``din == 1``
+  the exact-depth test) imply every test of every key of the walk but one:
+  where inside and outside tie, ``din - dext`` even and ``m = (din -
+  dext) / 2`` with ``1 <= m <= j``, the tie vertex ``w_m`` (``v_1`` when
+  ``din - dext == 2``) sees ``cin | cext`` and must have a color there,
+  else the key is ``INF``.  So the landing key passes the color tests, and
+  values, first argmins and witnesses are unchanged.  A later prefix of a
+  branching vertex (``i >= 2``), a chosen ``v`` and a leaf keep the split
+  recurrence.  A first-child key is landed where it is requested, so the
+  fill computes and stores none: the split scan yields a left key of
+  ``T_1(v)`` and a right key of a one-child child already landed (on a
+  path colored ``1...1 2`` rooted at the ``1`` end, storing the right ones
+  took n(n+1)/2 keys; on a 1,000-vertex comb, one leaf on each spine
+  vertex, storing the left ones and the keys of steps 2 and 3 took 336,993
+  keys against 85,496), and ``dp_entry`` stores one it is asked for with
+  its landing's value.  ``step`` records the landing key either way.
 * Monochrome stretches.  Where a split's left part attains ``din``, the
   child ``u``'s keys are scanned from inside distance ``din`` under the
   outside ``dext' = dmin + 1 <= din + 1`` with colors ``cy``.  If ``u`` has
@@ -160,11 +187,11 @@ with no pruning at all:
 From outside the fill, keys enter the table through ``dp_entry`` alone,
 the root keys included; it runs all of step 1 (``_admissible``), so a
 root key, already scanned, meets those tests twice.  The fill generates
-only keys that pass them, so the recursion, ``_compute``, runs none and
-starts at step 2.  The near-outside bound, ``v``'s own test and the
-far-side bound live in ``_need``, run once per distance by ``_side_keys``
-(per distance scanned by ``_run_side_keys``) and on the fixed sides of a
-split by ``_subkey_pairs``; both take masks
+only keys that pass them, so the recursion, ``_compute``, runs none; its
+callers read steps 2 and 3, so it starts at step 4.  The near-outside
+bound, ``v``'s own test and the far-side bound live in ``_need``, run once
+per distance by ``_side_keys`` (per distance scanned by ``_run_side_keys``)
+and on the fixed sides of a split by ``_subkey_pairs``; both take masks
 within the level at ``din``, so their keys pass the exact-depth test.  A
 landing key keeps its level and needs only ``_run_landing``'s tie test.
 """
@@ -390,11 +417,16 @@ class DPTable:
     """Memo of prefix-solution minima.
 
     ``memo`` maps full keys to values; ``size`` and ``sizes_by_prefix`` feed
-    the complexity-envelope checks and benchmark reporting.  ``step`` maps
-    every stored key with a finite value, a finite ``din`` and ``i >= 1`` to
-    the keys holding its chosen vertices, which witness reconstruction
-    follows: a split key's first argmin, the ``(left, right)`` subkey pair,
-    or a run key's one-key ``(landing,)`` (see :func:`dp_entry`).
+    the complexity-envelope checks and benchmark reporting.  The fill
+    stores only the keys it computes: finite ``din`` and ``i >= 2``, or
+    ``din == 0`` and ``i >= 1``.  An empty inside (worth 0), a key of
+    ``T_0`` (worth 1) and a first-child prefix's key with finite
+    ``din >= 1`` (worth its landing's value) are in the memo only where
+    :func:`dp_entry` was asked for them, the root keys included.  ``step``
+    maps every stored key with a finite value, a finite ``din`` and
+    ``i >= 1`` to the keys holding its chosen vertices, which witness
+    reconstruction follows: a split key's first argmin, the ``(left,
+    right)`` subkey pair, or a first-child key's one-key ``(landing,)``.
     ``stretch`` maps a vertex of a run's path to the ``(value, key)`` of
     :func:`_stretch_min`.
     """
@@ -523,11 +555,14 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
     than ``cin``, so those left keys are checked against it here, and the
     fixed child keys against :func:`_need`.
 
-    A right key of an unchosen one-child child (finite ``din >= 1``) is
-    yielded landed (see :func:`_run_landing`), or as ``None`` when its
-    landing is worth ``INF``, so no run key reaches :func:`_compute`.  Under
-    a fixed left key, a one-child child with its color in ``cy`` takes its
-    keys from :func:`_run_side_keys`, which may yield a vertex for a key.
+    A subkey of a first-child prefix with finite ``din >= 1`` is yielded
+    landed (see :func:`_run_landing`), so none reaches :func:`_compute`: a
+    left key of ``T_1(v)`` (``i == 2``) and a right key of a one-child
+    child.  Where a landing is worth ``INF``, a left key's pairs are left
+    out, and so is the branch of a fixed right key, while a right key from
+    a scan is yielded as ``None``.  Under a fixed left key, a one-child
+    child with its color in ``cy`` takes its keys from
+    :func:`_run_side_keys`, which may yield a vertex for a key.
     """
     v, i, din, dext, cin, cext = key
     child = tree.children[v][i - 1]
@@ -535,6 +570,7 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
     dmin = dext if dext < din else din        # nearest chosen of all, from v
     run = tree.run[child]
     land = run and din >= 2                   # right keys at din - 1 >= 1 land
+    lland = i == 2                            # left keys at din >= 1 land
     la = tree.avail(v, i - 1, din) & cin
     ra = tree.avail(child, eta, din - 1) & cin
     # colors a left key attaining din must hold: its near-outside and own
@@ -569,6 +605,10 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
             if ca and cb and not rn & ~cb:
                 left = ((v, i - 1, din, dmin, ca, cext) if dmin < din
                         else (v, i - 1, din, din, ca, cb | tied))
+                if lland:
+                    left = _run_landing(tree, left)
+                    if left is None:
+                        continue
                 right = (child, eta, din - 1, rx, cb, ry)
                 yield left, _run_landing(tree, right) if land else right
     # only the child side attains din; the left part is farther (or empty),
@@ -578,12 +618,21 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
         right = (child, eta, din - 1, rx, cin, ry)
         if land:
             right = _run_landing(tree, right)
-        for left in _side_keys(tree, v, i - 1, din + 1, dmin, cx):
-            yield left, right
+        if right is not None:
+            for left in _side_keys(tree, v, i - 1, din + 1, dmin, cx):
+                if lland and left[2] != INF:
+                    left = _run_landing(tree, left)
+                    if left is None:
+                        continue
+                yield left, right
     # only the left part attains din; the child side is farther (or empty),
     # so the left key is fixed and the child sees the outside at `dmin + 1`
     if la == cin and not fa & ~cin:
         left = (v, i - 1, din, dext, cin, cext)
+        if lland and din:
+            left = _run_landing(tree, left)
+            if left is None:
+                return
         cy = (cin if dmin == din else 0) | (cext if dext == dmin else 0)
         if run and tree.color_bit[child] & cy:
             for right in _run_side_keys(tree, child, din, dmin + 1, cy):
@@ -650,12 +699,9 @@ def _stretch_min(tree: RootedTree, w: int, table: DPTable):
         while p <= end and path[p] not in stretch:
             p += 1
         best = stretch[path[p]] if p <= end else (INF, None)
-        memo = table.memo
         for x in reversed(path[pos:p]):
             key = (x, len(tree.children[x]), 0, INF, tree.color_bit[x], 0)
-            val = memo.get(key)
-            if val is None:
-                val = memo[key] = _compute(tree, key, table)
+            val = _value(tree, key, table)
             if val <= best[0]:
                 best = (val, key)
             stretch[x] = best
@@ -663,25 +709,32 @@ def _stretch_min(tree: RootedTree, w: int, table: DPTable):
 
 
 def _run_landing(tree: RootedTree, key: tuple):
-    """The key that a finite key with ``din >= 1`` of a one-child vertex's
-    ``T_1(v)`` resolves to (see "One-child runs"), or ``None`` when the
-    run's tie vertex fails its color test and the key is worth ``INF``.
+    """The key that a finite key with ``din >= 1`` of a first-child prefix
+    ``T_1(v)`` resolves to (see "First-child prefixes"), or ``None`` when
+    the walk's tie vertex fails its color test and the key is worth ``INF``.
 
     ``v`` and every vertex between it and ``w`` stay unchosen: the walk goes
-    ``j = min(din, one-child steps left)`` hops down to ``w`` and lands on
-    ``T(w)`` with ``din - j`` inside and ``dext + j`` outside.  ``w`` is no
-    run vertex when ``din - j >= 1``, so a landing key never lands again.
-    Its two callers land a run key where it is requested: :func:`dp_entry`
-    and :func:`_subkey_pairs`, for the split loop's right keys.
+    one hop to ``v``'s first child ``v_1``, then down ``v_1``'s one-child run,
+    ``j = min(din, 1 + one-child steps left from v_1)`` hops in all, and
+    lands on ``T(w)`` with ``din - j`` inside and ``dext + j`` outside.
+    When ``din - j >= 1``, ``w`` does not have exactly one child, so the
+    landing key is no first-child prefix's and never lands again.  Its
+    callers land a key where it is requested: :func:`dp_entry` and
+    :func:`_subkey_pairs`, for the split loop's left and right keys.
     """
     v, _i, din, dext, cin, cext = key
-    path, pos = tree.run[v]
-    j = min(din, len(path) - 1 - pos)
+    u = tree.children[v][0]
+    run = tree.run[u]
+    if run is None:
+        j, w = 1, u
+    else:
+        path, pos = run                 # u is path[pos], depth t is path[pos + t - 1]
+        j = min(din, len(path) - pos)
+        w = path[pos + j - 1]
     if dext < din and not (din - dext) & 1:
         m = (din - dext) // 2        # the vertex that ties inside and outside
-        if m <= j and not tree.color_bit[path[pos + m]] & (cin | cext):
+        if m <= j and not tree.color_bit[u if m == 1 else path[pos + m - 1]] & (cin | cext):
             return None
-    w = path[pos + j]
     din -= j
     dext += j
     if dext > din:
@@ -689,65 +742,87 @@ def _run_landing(tree: RootedTree, key: tuple):
     return (w, len(tree.children[w]), din, dext, cin, cext)
 
 
+def _value(tree: RootedTree, key: tuple, table: DPTable):
+    """Value of a key that passes :func:`_admissible` and does not land: 0
+    for an empty inside (step 2) and 1 for a key of ``T_0(v)`` (step 3),
+    with no memo lookup and no store; any other key is read from the memo,
+    or computed and stored."""
+    if key[2] == INF:
+        return 0
+    if not key[1]:
+        return 1
+    memo = table.memo
+    val = memo.get(key)
+    if val is None:
+        val = memo[key] = _compute(tree, key, table)
+    return val
+
+
 def dp_entry(tree: RootedTree, key: tuple, table: DPTable):
     """Minimum chosen vertices inside the prefix for ``key`` (or ``INF``).
 
     The one way a key enters the table from outside the fill, the root scan
-    included.  ``key`` must be canonical (see "State"); that is assumed,
-    not checked.  Its color tests (:func:`_admissible`) run here.  A key of
-    an unchosen one-child vertex (see "One-child runs") is landed with
-    :func:`_run_landing` and stored with the landing key's value, and a
-    finite one records ``(landing,)`` in ``step``; any other key is
-    computed.  So no run key reaches :func:`_compute`.
+    included; unlike the fill, it stores every key it is given.  ``key``
+    must be canonical (see "State"); that is assumed, not checked.  Its
+    color tests (:func:`_admissible`) run here.  A key of a first-child
+    prefix with finite ``din >= 1`` (see "First-child prefixes") is landed
+    with :func:`_run_landing` and stored with the landing key's value, and
+    a finite one records ``(landing,)`` in ``step``; any other key is
+    resolved by :func:`_value`.  So no such key reaches :func:`_compute`.
     """
     memo = table.memo
     val = memo.get(key)
     if val is None:
-        v, i, din = key[:3]
+        i, din = key[1:3]
         if not _admissible(tree, *key):
             val = INF
-        elif i and 0 < din < INF and tree.run[v]:
+        elif i == 1 and 0 < din < INF:
             land = _run_landing(tree, key)
-            val = INF if land is None else memo.get(land)
-            if val is None:
-                val = memo[land] = _compute(tree, land, table)
+            val = INF if land is None else _value(tree, land, table)
             if val < INF:
                 table.step[key] = (land,)
         else:
-            val = _compute(tree, key, table)
+            val = _value(tree, key, table)
         memo[key] = val
     return val
 
 
 def _compute(tree: RootedTree, key: tuple, table: DPTable):
-    """Value of a key that passes :func:`_admissible` and is no run key;
-    it runs no color test, as every key that reaches it passes them.
+    """Value of a key with finite ``din`` and ``i >= 1`` that passes
+    :func:`_admissible` and does not land: ``i >= 2``, or ``din == 0`` (a
+    chosen ``v``).  It runs no color test, as every key that reaches it
+    passes them.
 
-    :func:`_subkey_pairs` yields right subkeys already landed (``None`` is
-    worth ``INF``), so ``step`` records a landing key as the argmin's right
-    part.  A monochrome stretch comes as a vertex, and :func:`_stretch_min`
-    gives its first minimum's key.  A left subkey is never a run key:
-    under a one-child ``v`` it is a key of ``T_0(v)``.
+    :func:`_subkey_pairs` yields subkeys already landed (a right ``None`` is
+    worth ``INF``), so ``step`` records a landing key as the argmin's left
+    or right part.  A monochrome stretch comes as a vertex, and
+    :func:`_stretch_min` gives its first minimum's key.  A subkey with an
+    empty inside is worth 0 and one of ``T_0`` is worth 1; both are read
+    here, as in :func:`_value`, with no memo lookup, call or store.
     """
-    _v, i, din = key[:3]
-    if din == INF:
-        return 0  # nothing chosen inside, and every prefix color is in cext
-    if i == 0:
-        return 1  # {v} realizes only din == 0, with cin == {color(v)}
     memo = table.memo
     best = INF
     for left_key, right_key in _subkey_pairs(tree, key):
-        left = memo.get(left_key)
-        if left is None:
-            left = memo[left_key] = _compute(tree, left_key, table)
+        if left_key[2] == INF:
+            left = 0
+        elif left_key[1]:
+            left = memo.get(left_key)
+            if left is None:
+                left = memo[left_key] = _compute(tree, left_key, table)
+        else:
+            left = 1
         if left >= best or right_key is None:
             continue
-        right = memo.get(right_key)
-        if right is None:
-            if right_key.__class__ is int:
-                right, right_key = _stretch_min(tree, right_key, table)
-            else:
+        if right_key.__class__ is int:
+            right, right_key = _stretch_min(tree, right_key, table)
+        elif right_key[2] == INF:
+            right = 0
+        elif right_key[1]:
+            right = memo.get(right_key)
+            if right is None:
                 right = memo[right_key] = _compute(tree, right_key, table)
+        else:
+            right = 1
         total = left + right
         if total < best:
             best = total
@@ -760,7 +835,7 @@ def reconstruct_witness(tree: RootedTree, key: tuple, table: DPTable) -> frozens
 
     Follows ``table.step``, which holds an entry for every stored key with
     a finite value, a finite ``din`` and ``i >= 1``: a split's first argmin
-    or a run key's landing, whose chosen vertices are the key's.
+    or a first-child key's landing, whose chosen vertices are the key's.
     """
     val = table.memo.get(key)
     if val is None:

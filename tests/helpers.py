@@ -241,6 +241,19 @@ def caterpillar(spine, c, lo, hi, seed):
     return ColoredGraph(len(colors), c, edges, colors)
 
 
+def comb(s, phase):
+    """A spine ``1..s`` with the leaf ``s + i`` on spine vertex ``i``,
+    colored 1 and 2 with period 3: spine vertex ``i`` is 2 when 3 divides
+    ``i``, its leaf when 3 divides ``i + phase``.  At ``phase == s % 3``
+    color 2 lies on exactly the ids divisible by 3.  Rooted at vertex 1,
+    spine vertex ``i`` has the first child ``i + 1``, which branches for
+    ``i < s - 1``."""
+    edges = [(i, i + 1) for i in range(1, s)] + [(i, s + i) for i in range(1, s + 1)]
+    colors = ([2 if i % 3 == 0 else 1 for i in range(1, s + 1)]
+              + [2 if (i + phase) % 3 == 0 else 1 for i in range(1, s + 1)])
+    return ColoredGraph(2 * s, 2, edges, colors)
+
+
 def spider(legs, c, lo, hi, seed):
     """``legs`` paths of ``lo``..``hi`` vertices off vertex 1, colored in
     runs of 1-5."""

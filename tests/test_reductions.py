@@ -335,8 +335,9 @@ def test_tree_reduction_optimum_is_n_of_k():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 2: N(k) is not the optimum of a "
-                          "formula holding both (x v x) and (-x v -x)")
+                   reason="the 2sat-tree sidecar's N(k) claim (README, gen): "
+                          "N(k) is not the optimum of a formula holding both "
+                          "(x v x) and (-x v -x)")
 def test_tree_reduction_optimum_with_opposite_unit_clauses():
     f = TwoSatFormula(1, (((1, True), (1, True)), ((1, False), (1, False))))
     size, target = _optimum_of_tree_reduction(f)

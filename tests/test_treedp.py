@@ -15,7 +15,7 @@ from consistent_subset.treedp import (INF, DPTable, dp_entry,
                                       _run_landing, _run_side_keys,
                                       _side_keys)
 
-from helpers import (RRBB, broom, caterpillar, make_dp_key, path_graph,
+from helpers import (RRBB, broom, caterpillar, comb, make_dp_key, path_graph,
                      prefix_vertices, ref_adjacency, ref_distances,
                      ref_is_consistent, ref_minimum_subset, runs_path, spider,
                      star_graph)
@@ -339,20 +339,29 @@ def test_memo_work_guard():
     # 12,769 keys on the runs-path and 1,835 on the caterpillar, and before
     # one-child runs resolved in one hop 5,579, 1,284 and 339,367 (the long
     # runs-path), and before right keys landed ahead of the memo 911, 1,102
-    # and 16,441.  Each bound leaves about 10% over today's count.  On the
-    # path 1...1 2 a chosen vertex scanned one child key per inside distance,
-    # and storing those before they landed built n(n+1)/2 = 500,500 keys.
+    # and 16,441.  On the path 1...1 2 a chosen vertex scanned one child key
+    # per inside distance, and storing those before they landed built
+    # n(n+1)/2 = 500,500 keys.  Before every first-child prefix landed on
+    # its child's subtree and the keys worth 0 or 1 stayed out of the memo,
+    # the alternating path took 799 keys, the runs-paths 193 and 997, the
+    # caterpillar 930, the path 1...1 2 2,996 and the 1,000-vertex comb
+    # 336,993.  Each bound leaves about 10% over today's count.
     g = path_graph([RED, BLUE] * 200)
-    assert solve_tree_mcs_detailed(g)[2].size <= 8 * g.n
-    for g, most in ((runs_path(80, 2, 15, 30, 11), 215),
-                    (caterpillar(35, 3, 8, 15, 8), 1_030),
-                    (runs_path(400, 2, 100, 100, 1), 1_100),
-                    (path_graph([RED] * 999 + [BLUE]), 3_300),
+    assert solve_tree_mcs_detailed(g)[2].size <= 440
+    for g, most in ((runs_path(80, 2, 15, 30, 11), 104),
+                    (caterpillar(35, 3, 8, 15, 8), 535),
+                    (runs_path(400, 2, 100, 100, 1), 550),
+                    (path_graph([RED] * 999 + [BLUE]), 2_200),
                     (random_tree(40, 2, 10), None)):
         _cert, tree, table = solve_tree_mcs_detailed(g)
         assert most is None or table.size <= most
         # the solver never stores a key that its color tests reject
         assert all(_admissible(tree, *key) for key in table.memo)
+    # the comb's optimum lies at the far end of its spine, so the root scan
+    # builds one chain of spine keys per inside distance
+    cert, tree, table = solve_tree_mcs_detailed(comb(500, 2))
+    assert cert.witness == (500, 999)
+    assert table.size <= 94_000
 
 
 def test_monochrome_stretch_work_guard(monkeypatch):
@@ -362,6 +371,8 @@ def test_monochrome_stretch_work_guard(monkeypatch):
     # ran _need down the second run (503,497 pairs, 1,001,999 calls).  By
     # color segment they are 1,000 and 2,995, and 4,996 and 3,998.  Each
     # bound leaves about 10% over that; keys and witnesses did not change.
+    # The keys are pinned: 2,996 and 4,998 before first-child prefixes
+    # landed and the keys worth 0 or 1 stayed out of the memo.
     counts = Counter()
     subkey_pairs, need = treedp._subkey_pairs, treedp._need
 
@@ -377,8 +388,8 @@ def test_monochrome_stretch_work_guard(monkeypatch):
     monkeypatch.setattr(treedp, "_subkey_pairs", counted_pairs)
     monkeypatch.setattr(treedp, "_need", counted_need)
     for g, pairs, needs, keys, witness in (
-            (path_graph([RED] * 999 + [BLUE]), 1_100, 3_300, 2_996, (998, 1000)),
-            (runs_path(2000, 2, 1000, 1000, 1), 5_500, 4_400, 4_998, (1, 1999))):
+            (path_graph([RED] * 999 + [BLUE]), 1_100, 3_300, 1_996, (998, 1000)),
+            (runs_path(2000, 2, 1000, 1000, 1), 5_500, 4_400, 1_999, (1, 1999))):
         counts.clear()
         cert, _tree, table = solve_tree_mcs_detailed(g)
         assert cert.witness == witness
@@ -782,7 +793,7 @@ def test_reconstruction_builds_no_key_and_does_not_recurse():
 
 
 # --------------------------------------------------------------------------
-# one entry into the table: run keys land where they are requested
+# one entry into the table: first-child keys land where they are requested
 
 # one-child runs from the root, below a branching vertex and down to a
 # branching vertex
@@ -827,6 +838,64 @@ def test_no_run_key_reaches_compute(g, monkeypatch):
     for key in keys:
         dp_entry(tree, key, DPTable())
     assert computed
+
+
+# first-child prefixes of branching vertices: comb and caterpillar spines,
+# and a broom handle whose first child branches
+FIRST_CHILD_TREES = [comb(5, 2), comb(6, 0), comb(7, 1), caterpillar(5, 2, 1, 2, 3),
+                     caterpillar(4, 3, 1, 2, 7), broom([RED, BLUE, RED], [BLUE, RED, RED]),
+                     random_tree(12, 3, 5)]
+
+
+@pytest.mark.parametrize("g", RUN_TREES + FIRST_CHILD_TREES)
+def test_no_first_child_key_reaches_compute(g, monkeypatch):
+    # a key of T_1(v) with finite din >= 1 has one split whatever v's child
+    # count, so dp_entry and _subkey_pairs (left keys at i == 2 as well as
+    # right keys) land it on v's first child's subtree, branching v included
+    compute = treedp._compute
+    computed = []
+
+    def checked(tree, key, table):
+        _v, i, din = key[:3]
+        assert not (i == 1 and 0 < din < INF), key
+        computed.append(key)
+        return compute(tree, key, table)
+
+    monkeypatch.setattr(treedp, "_compute", checked)
+    _cert, tree, table = solve_tree_mcs_detailed(g)
+    # an empty inside is worth 0 and a key of T_0(v) is worth 1: the fill
+    # reads those values where it meets them and stores neither (only a root
+    # key, which dp_entry stores, could be one; none is here)
+    assert all(key[2] != INF and key[1] >= 1 for key in table.memo)
+    masks = range(1, 1 << g.c)
+    keys = [key for v in range(1, g.n + 1) if tree.eta(v)
+            for dext in list(range(1, tree.depth_limit(v, 1) + 3)) + [INF]
+            for cext in ([0] if dext == INF else masks)
+            for key in _side_keys(tree, v, 1, 1, dext, cext) if key[2] != INF]
+    branching = any(tree.eta(v) >= 2 for v in range(1, g.n + 1))
+    assert keys and (not branching or any(tree.eta(key[0]) >= 2 for key in keys))
+    for key in keys:
+        dp_entry(tree, key, DPTable())
+    assert computed
+
+
+@pytest.mark.parametrize("g", [comb(s, phase) for s in range(1, 9) for phase in range(3)]
+                         + [broom(handle, bristles)
+                            for handle in ([RED], [RED, BLUE], [BLUE, BLUE, RED, RED],
+                                           [RED, BLUE, RED, BLUE, BLUE])
+                            for bristles in ([BLUE, RED], [RED, RED, BLUE],
+                                             [GREEN, BLUE, RED, BLUE])]
+                         + [caterpillar(spine, c, 1, 3, seed) for spine, c, seed in
+                            ((3, 2, 1), (4, 2, 2), (5, 3, 3), (6, 2, 4), (6, 3, 5))])
+def test_matches_brute_force_where_first_children_branch(g):
+    # a first-child prefix lands on its child's subtree with one color test,
+    # at the tie vertex; brute force at cap=n checks the optimum, and every
+    # key stored, landing keys included, passes the color tests
+    assert g.n <= 16
+    cert, tree, table = solve_tree_mcs_detailed(g)
+    assert cert.size == brute_force_mcs(g, cap=g.n).size
+    assert is_consistent(g, cert.witness)
+    assert all(_admissible(tree, *key) for key in table.memo)
 
 
 @pytest.mark.parametrize("g", RUN_TREES)
