@@ -19,7 +19,11 @@ vertex ``u`` inside the prefix perceives the outside purely as "colors
 ``cext`` at distance ``d(u,v) + dext``"; the four parameters are therefore
 a complete interface.  Keys are canonical: ``dext > din`` is stored as
 ``(INF, 0)``, since such an outside holds no nearest chosen vertex of any
-prefix vertex ``u``, which has an inside one within ``d(u,v) + din``.
+prefix vertex ``u``, which has an inside one within ``d(u,v) + din``.  A
+tie, ``dext == din``, keeps only the outside colors missing from ``cin``
+(``cext & ~cin``), and is stored as ``(INF, 0)`` when none is left, since
+a prefix vertex that sees such an outside already sees all of ``cin`` at
+the same distance (see "Ties").
 The table value is the minimum number of chosen vertices inside ``T_i(v)``
 realizing ``din``/``cin`` such that every vertex of the prefix sees its
 own color among its nearest chosen vertices; infeasible keys evaluate to
@@ -59,7 +63,7 @@ key's first argmin, which reconstruction follows, so reported witnesses
 are deterministic.
 
 Pruning.  Distance ranges are cut by prefix depths and by the colors
-available at each exact depth.  Six arguments then drop work whose
+available at each exact depth.  Seven arguments then drop work whose
 value is known without building it.  None changes a key's value or
 the first argmin of any scan, so sizes and witnesses are the same as
 with no pruning at all:
@@ -109,11 +113,12 @@ with no pruning at all:
   distance, so the solver walks one hop to ``v_1`` and on down ``v_1``'s
   one-child run, ``j = min(din, 1 + one-child steps left from v_1)`` hops
   in all, to ``w``, and takes the one key ``(w, eta(w), din - j, dext + j,
-  cin, cext)``, canonicalized (``(INF, 0)`` when ``dext + j > din - j``;
-  the outside only moves away along the walk, so this is the key that
-  hop-by-hop canonicalizing reaches).  The keys in between are never
-  built.  Let ``w_t`` be the walk's vertex at depth ``t`` (``w_1 = v_1``)
-  and ``K_t`` its key, with inside ``din - t`` and outside ``dext + t``.
+  cin, cext)``, canonicalized (``(INF, 0)`` when ``dext + j > din - j``,
+  one form at ``dext + j == din - j``; the outside only moves away along
+  the walk, so this is the key that hop-by-hop canonicalizing reaches).
+  The keys in between are never built.  Let ``w_t`` be the walk's vertex
+  at depth ``t`` (``w_1 = v_1``) and ``K_t`` its key, with inside
+  ``din - t`` and outside ``dext + t``.
   Every vertex of ``T_1(v)`` at depth ``s >= t`` lies in ``T(w_t)`` at
   depth ``s - t``, so ``K_t`` has the key's level at ``din``, and with it
   the same LCA ``x`` of that level and the same exact-depth test; and
@@ -183,6 +188,25 @@ with no pruning at all:
   would come again at the next depth scanned, which ends the scan with the
   same yields.  Without ``b`` in ``cy`` the near-outside bound ends the
   scan by depth ``dext' + 1 <= din + 2``, and it stays the depth scan.
+* Ties.  With ``dext == din``, a prefix vertex ``u`` at depth ``k`` sees
+  the outside, at ``k + din``, only when no chosen inside vertex is
+  nearer.  Then every chosen vertex at depth ``din`` is exactly ``k + din``
+  away (one below the child of ``v`` above ``u`` would be nearer), so
+  ``u`` already sees all of ``cin`` there.  So every vertex sees the same
+  color sets under ``cext``, under ``cext & ~cin``, and (when ``cext`` lies
+  within ``cin``) with no outside at all: those keys have one value, and
+  only the canonical one is built.  The split scan yields the same pairs
+  for each form once its subkeys are canonical: ``cx`` and ``cy`` are
+  ``cin | cext`` in every form, the both-sides left key's outside is
+  ``(cb | tied) & ~ca`` in every form (the colors of ``cin`` outside
+  ``ca`` are in ``cb``), and ``v``'s own test accepts the same masks.  So
+  values, first argmins and witnesses do not change.  A tie key is built
+  in four places, each through ``_tie_key``: ``_side_keys`` at ``d ==
+  dext``, the both-sides left key of a split with ``dmin == din``, a right
+  key at ``din - 1`` under an outside at ``din - 1`` that does not land,
+  and a landing that ends on a tie.  On a caterpillar with a 35-vertex
+  spine and 3 colors, keeping the outside colors of ``cin`` took 487 keys
+  against 422.
 
 From outside the fill, keys enter the table through ``dp_entry`` alone,
 the root keys included; it runs all of step 1 (``_admissible``), so a
@@ -419,10 +443,12 @@ class DPTable:
     ``memo`` maps full keys to values; ``size`` and ``sizes_by_prefix`` feed
     the complexity-envelope checks and benchmark reporting.  The fill
     stores only the keys it computes: finite ``din`` and ``i >= 2``, or
-    ``din == 0`` and ``i >= 1``.  An empty inside (worth 0), a key of
-    ``T_0`` (worth 1) and a first-child prefix's key with finite
-    ``din >= 1`` (worth its landing's value) are in the memo only where
-    :func:`dp_entry` was asked for them, the root keys included.  ``step``
+    ``din == 0`` and ``i >= 1``.  Every key the fill stores is canonical
+    (see "State"), so a tie of inside and outside is stored in one form.
+    An empty inside (worth 0), a key of ``T_0`` (worth 1) and a first-child
+    prefix's key with finite ``din >= 1`` (worth its landing's value) are
+    in the memo only where :func:`dp_entry` was asked for them, the root
+    keys included.  ``step``
     maps every stored key with a finite value, a finite ``din`` and
     ``i >= 1`` to the keys holding its chosen vertices, which witness
     reconstruction follows: a split key's first argmin, the ``(left,
@@ -492,6 +518,14 @@ def _need(tree: RootedTree, v: int, i: int, din, dext, cext: int) -> int:
     return need | tree.far(v, i, din, k) if din >= 2 else need
 
 
+def _tie_key(v: int, i: int, d: int, cin: int, cext: int) -> tuple:
+    """The canonical key of ``T_i(v)`` whose inside and outside both lie at
+    distance ``d`` (see "Ties"): the outside keeps only its colors missing
+    from ``cin``, and none left is stored as ``(INF, 0)``."""
+    cext &= ~cin
+    return (v, i, d, d, cin, cext) if cext else (v, i, d, INF, cin, 0)
+
+
 def _admissible(tree: RootedTree, v: int, i: int, din, dext, cin: int,
                 cext: int) -> bool:
     """Color tests that every feasible canonical key passes: :func:`_need`
@@ -505,7 +539,9 @@ def _side_keys(tree: RootedTree, u: int, j: int, d0: int, dext, cext: int):
     """Yield the canonical keys of ``T_j(u)`` with inside distance ``d0`` or
     more under the outside ``dext``/``cext``, in scan order (distance
     ascending, masks descending), leaving out those that fail
-    :func:`_admissible` (worth ``INF``, never an argmin).
+    :func:`_admissible` (worth ``INF``, never an argmin).  A key at
+    ``d == dext`` is the tie's one form (:func:`_tie_key`), which drops the
+    outside colors in its mask.
 
     When the empty inside passes the color tests it is yielded alone (see
     "Empty side"); otherwise it fails them and is not yielded.  The masks
@@ -528,7 +564,12 @@ def _side_keys(tree: RootedTree, u: int, j: int, d0: int, dext, cext: int):
             masks = submasks[level] = _nonempty_submasks(level)
         for mask in masks:
             if not need & ~mask:
-                yield (u, j, d, dext, mask, cext) if dext <= d else (u, j, d, INF, mask, 0)
+                if dext < d:
+                    yield (u, j, d, dext, mask, cext)
+                elif dext == d:
+                    yield _tie_key(u, j, d, mask, cext)
+                else:
+                    yield (u, j, d, INF, mask, 0)
 
 
 def _subkey_pairs(tree: RootedTree, key: tuple):
@@ -580,6 +621,7 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
     # (canonicalized), the same in the first two branches
     rx, ry = (dmin + 1, cext) if dmin <= din - 2 else (INF, 0)
     rn = _need(tree, child, eta, din - 1, rx, ry) if ra else -1
+    rtie = rx == din - 1 and not land         # an unlanded right key on a tie
     # both sides attain din; distribute each color of cin, all in la | ra,
     # left/right/both
     if la and ra and not fa & ~la:
@@ -604,18 +646,20 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
                 cb |= b
             if ca and cb and not rn & ~cb:
                 left = ((v, i - 1, din, dmin, ca, cext) if dmin < din
-                        else (v, i - 1, din, din, ca, cb | tied))
+                        else _tie_key(v, i - 1, din, ca, cb | tied))
                 if lland:
                     left = _run_landing(tree, left)
                     if left is None:
                         continue
-                right = (child, eta, din - 1, rx, cb, ry)
+                right = (_tie_key(child, eta, din - 1, cb, ry) if rtie
+                         else (child, eta, din - 1, rx, cb, ry))
                 yield left, _run_landing(tree, right) if land else right
     # only the child side attains din; the left part is farther (or empty),
     # so the child's key is fixed and the left sees the outside at `dmin`
     if ra == cin and not rn & ~cin:
         cx = (cin if dmin == din else 0) | (cext if dext == dmin else 0)
-        right = (child, eta, din - 1, rx, cin, ry)
+        right = (_tie_key(child, eta, din - 1, cin, ry) if rtie
+                 else (child, eta, din - 1, rx, cin, ry))
         if land:
             right = _run_landing(tree, right)
         if right is not None:
@@ -737,9 +781,11 @@ def _run_landing(tree: RootedTree, key: tuple):
             return None
     din -= j
     dext += j
-    if dext > din:
-        return (w, len(tree.children[w]), din, INF, cin, 0)
-    return (w, len(tree.children[w]), din, dext, cin, cext)
+    if dext < din:
+        return (w, len(tree.children[w]), din, dext, cin, cext)
+    if dext == din:
+        return _tie_key(w, len(tree.children[w]), din, cin, cext)
+    return (w, len(tree.children[w]), din, INF, cin, 0)
 
 
 def _value(tree: RootedTree, key: tuple, table: DPTable):
@@ -763,12 +809,12 @@ def dp_entry(tree: RootedTree, key: tuple, table: DPTable):
 
     The one way a key enters the table from outside the fill, the root scan
     included; unlike the fill, it stores every key it is given.  ``key``
-    must be canonical (see "State"); that is assumed, not checked.  Its
-    color tests (:func:`_admissible`) run here.  A key of a first-child
-    prefix with finite ``din >= 1`` (see "First-child prefixes") is landed
-    with :func:`_run_landing` and stored with the landing key's value, and
-    a finite one records ``(landing,)`` in ``step``; any other key is
-    resolved by :func:`_value`.  So no such key reaches :func:`_compute`.
+    must be canonical (see "State"), a tie in its one form included; that
+    is assumed, not checked.  Its color tests (:func:`_admissible`) run
+    here.  A key of a first-child prefix with finite ``din >= 1`` (see
+    "First-child prefixes") is landed with :func:`_run_landing` and stored
+    with the landing key's value, and a finite one records ``(landing,)``
+    in ``step``; any other key is resolved by :func:`_value`.  So no such key reaches :func:`_compute`.
     """
     memo = table.memo
     val = memo.get(key)

@@ -109,8 +109,10 @@ def ref_min_set_cover(n, sets):
 def make_dp_key(v, i, din, dext, cin, cext):
     """Validate and build a canonical tree-DP key ``(v, i, din, dext, cin,
     cext)``: an ``INF`` distance goes with an empty color mask and a finite
-    one with a nonempty mask, ``din >= 0``, ``dext >= 1``, ``i >= 0``, and
-    ``dext > din`` becomes ``(INF, 0)``."""
+    one with a nonempty mask, ``din >= 0``, ``dext >= 1``, ``i >= 0``;
+    ``dext > din`` becomes ``(INF, 0)``, and at ``dext == din`` the outside
+    keeps only its colors missing from ``cin``, or becomes ``(INF, 0)``
+    when none is left."""
     for d, mask, lo in ((din, cin, 0), (dext, cext, 1)):
         if d == INF:
             if mask != 0:
@@ -122,7 +124,9 @@ def make_dp_key(v, i, din, dext, cin, cext):
                 raise ValueError("a finite distance requires a nonempty color mask")
     if i < 0:
         raise ValueError("prefix width must be nonnegative")
-    if dext > din:
+    if dext == din:
+        cext &= ~cin
+    if dext > din or not cext:
         return (v, i, din, INF, cin, 0)
     return (v, i, din, dext, cin, cext)
 

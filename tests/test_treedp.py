@@ -33,7 +33,7 @@ LEG_ROOTED_SPIDER = ColoredGraph(7, 2, SPIDER_EDGES, [RED, RED, BLUE] + [RED] * 
 
 # where a monochrome stretch of a run (its vertices from one down, while
 # they keep its color) ends or starts, for the scan by color segment
-GREEN = 3
+GREEN, GBIT = 3, 4
 STRETCH_TREES = [
     # ends at a color change inside the run, and a later red segment
     path_graph([RED, RED, RED, BLUE, BLUE, RED]),
@@ -147,6 +147,14 @@ def test_make_dp_key_drops_an_outside_beyond_the_inside():
     assert make_dp_key(2, 1, 2, 2, RBIT, BBIT) == (2, 1, 2, 2, RBIT, BBIT)
     assert make_dp_key(2, 1, 3, 1, RBIT, BBIT) == (2, 1, 3, 1, RBIT, BBIT)
     assert make_dp_key(2, 0, INF, 4, 0, BBIT) == (2, 0, INF, 4, 0, BBIT)
+
+
+def test_make_dp_key_keeps_one_form_per_tie():
+    # an outside tied with the inside keeps only its colors missing from cin
+    # (see "Ties"), and with none left it is the farther outside's (INF, 0)
+    assert make_dp_key(2, 1, 2, 2, RBIT, RBIT | BBIT) == (2, 1, 2, 2, RBIT, BBIT)
+    assert make_dp_key(2, 1, 2, 2, RBIT | BBIT, BBIT) == (2, 1, 2, INF, RBIT | BBIT, 0)
+    assert make_dp_key(2, 1, 2, 2, RBIT, RBIT) == (2, 1, 2, INF, RBIT, 0)
 
 
 def test_leaf_entries():
@@ -265,8 +273,9 @@ def test_matches_reference_on_deep_trees(g):
     assert cert.size == len(ref_minimum_subset(g.n, colors, g.edges))
     assert len(cert.witness) == cert.size
     assert ref_is_consistent(g.n, colors, g.edges, cert.witness)
-    # every key the solve built is valid and canonical, and passes the color
-    # tests that the solver runs only where it generates keys
+    # every key the solve built is valid and canonical (a tie's outside holds
+    # no color of cin), and passes the color tests that the solver runs only
+    # where it generates keys
     assert all(make_dp_key(*key) == key for key in table.memo)
     assert all(_admissible(tree, *key) for key in table.memo)
 
@@ -311,6 +320,12 @@ WITNESS_GOLDENS = [
     (random_tree, (40, 4, 10),
      (1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 18, 20, 22, 25, 26, 27, 28,
       31, 33, 34, 35, 36, 38, 39, 40)),
+    # the trees whose keys one form per tie cut most, of the Prüfer trees,
+    # caterpillars and spiders tried (recorded before that rule)
+    (random_tree, (54, 3, 161), (1, 16, 34, 39, 52)),
+    (random_tree, (56, 3, 121), (6, 12, 24, 27, 31, 32, 33, 38, 39, 53)),
+    (caterpillar, (24, 3, 1, 3, 99), (18, 45, 46, 47, 48, 49)),
+    (spider, (5, 3, 5, 12, 47), (5, 6, 8, 13, 15, 16, 27, 33, 35)),
 ]
 
 
@@ -345,23 +360,25 @@ def test_memo_work_guard():
     # its child's subtree and the keys worth 0 or 1 stayed out of the memo,
     # the alternating path took 799 keys, the runs-paths 193 and 997, the
     # caterpillar 930, the path 1...1 2 2,996 and the 1,000-vertex comb
-    # 336,993.  Each bound leaves about 10% over today's count.
+    # 336,993.  Before one form per tie, the caterpillar took 487 keys, the
+    # Prüfer tree 184 and the comb 85,496.  Each bound leaves about 10% over
+    # today's count.
     g = path_graph([RED, BLUE] * 200)
     assert solve_tree_mcs_detailed(g)[2].size <= 440
     for g, most in ((runs_path(80, 2, 15, 30, 11), 104),
-                    (caterpillar(35, 3, 8, 15, 8), 535),
+                    (caterpillar(35, 3, 8, 15, 8), 465),
                     (runs_path(400, 2, 100, 100, 1), 550),
                     (path_graph([RED] * 999 + [BLUE]), 2_200),
-                    (random_tree(40, 2, 10), None)):
+                    (random_tree(40, 2, 10), 175)):
         _cert, tree, table = solve_tree_mcs_detailed(g)
-        assert most is None or table.size <= most
+        assert table.size <= most
         # the solver never stores a key that its color tests reject
         assert all(_admissible(tree, *key) for key in table.memo)
     # the comb's optimum lies at the far end of its spine, so the root scan
     # builds one chain of spine keys per inside distance
     cert, tree, table = solve_tree_mcs_detailed(comb(500, 2))
     assert cert.witness == (500, 999)
-    assert table.size <= 94_000
+    assert table.size <= 93_500
 
 
 def test_monochrome_stretch_work_guard(monkeypatch):
@@ -515,6 +532,28 @@ def _enumerated_values(g, tree, v, i):
     return out, depth
 
 
+def _worth(values, din, dext, cin, cext):
+    """The least size over :func:`_enumerated_values`'s subsets with
+    ``din``/``cin`` whose required outside mask lies within ``cext``."""
+    return min((k for need, k in values.get((din, cin, dext), ()) if not need & ~cext),
+               default=INF)
+
+
+# both-sides splits of a key (the left part and the child both attain din,
+# under an outside tied there or farther) whose child colors repeat a color
+# of the left part, with the left key the solve stores.  On the star, the
+# red centre 1 and leaves blue 2, red 3, blue 4, the left key's outside,
+# 4's blue, lies wholly in cin and is dropped.  On the second tree 6 is the
+# green parent of green 3, red 4 and red 5, below blue 1 and above green 2:
+# the outside {red 5, blue 1} keeps blue.
+TIE_SPLITS = [
+    (star_graph(RED, [BLUE, RED, BLUE]),
+     (1, 3, 1, INF, RBIT | BBIT, 0), (1, 2, 1, INF, RBIT | BBIT, 0)),
+    (ColoredGraph(6, 3, [(1, 6), (2, 5), (3, 6), (4, 6), (5, 6)],
+                  [BLUE, GREEN, GREEN, RED, RED, GREEN]),
+     (6, 3, 1, 1, RBIT | GBIT, BBIT), (6, 2, 1, 1, RBIT | GBIT, BBIT)),
+]
+
 ENUMERATION_TREES = ([random_tree(2 + s % 9, 2 + s % 2, 900 + s) for s in range(24)]
                      # trees whose key values hinge on the split's tie and
                      # outside-color cases
@@ -526,7 +565,7 @@ ENUMERATION_TREES = ([random_tree(2 + s % 9, 2 + s % 2, 900 + s) for s in range(
                      + [broom([RED, RED, BLUE, BLUE, RED, RED], [BLUE, RED, BLUE]),
                         broom([RED, BLUE, BLUE, RED, RED, BLUE], [RED, BLUE, RED, BLUE]),
                         broom([1, 1, 2, 2, 3, 3, 1], [2, 3]), LEG_ROOTED_SPIDER]
-                     + STRETCH_TREES)
+                     + STRETCH_TREES + [g for g, _key, _left in TIE_SPLITS])
 
 
 @pytest.mark.parametrize("g", ENUMERATION_TREES)
@@ -548,8 +587,7 @@ def test_keys_match_enumeration(g):
                         if din < dext != INF:
                             continue
                         for cext in ([0] if dext == INF else masks):
-                            want = min((k for need, k in values.get((din, cin, dext), ())
-                                        if not need & ~cext), default=INF)
+                            want = _worth(values, din, dext, cin, cext)
                             key = make_dp_key(v, i, din, dext, cin, cext)
                             assert dp_entry(tree, key, table) == want, key
                             if not _admissible(tree, *key):
@@ -561,6 +599,48 @@ def test_keys_match_enumeration(g):
     assert rejected > 0
     # (the shallower trees here have no key that the far bound alone decides)
     assert far_only > 0 or tree.depth_limit(1, tree.eta(1)) < 3
+
+
+@pytest.mark.parametrize("g", ENUMERATION_TREES)
+def test_tie_keys_match_their_canonical_form(g):
+    # where the outside ties the inside, a prefix vertex that sees the
+    # outside already sees all of cin (see "Ties"), so by enumeration a tie
+    # key whose outside repeats colors of cin is worth what its canonical
+    # form is worth: the outside less those colors, or no outside at all
+    tree = root_tree(g, 1)
+    masks = range(1, 1 << g.c)
+    finite = 0
+    for v in range(1, g.n + 1):
+        for i in range(tree.eta(v) + 1):
+            values, depth = _enumerated_values(g, tree, v, i)
+            for din in range(1, depth + 1):
+                for cin in masks:
+                    for cext in masks:
+                        if cext & cin:
+                            want = _worth(values, din, din, cin, cext)
+                            key = make_dp_key(v, i, din, din, cin, cext)
+                            assert _worth(values, *key[2:]) == want, key
+                            finite += want < INF
+    assert finite > 0
+
+
+@pytest.mark.parametrize("g,key,left", TIE_SPLITS)
+def test_both_sides_split_meets_a_tie(g, key, left):
+    # the solve stores the key and the canonical left key of its split in
+    # which both sides attain din and the child repeats a color of the left
+    # part; that left key's raw outside (the child's colors, and the old
+    # outside's when it ties) is not canonical
+    _cert, tree, table = solve_tree_mcs_detailed(g)
+    assert key in table.memo and left in table.memo
+    v, i, din, dext, _cin, cext = key
+    child = tree.children[v][i - 1]
+    tied = cext if dext == din else 0
+    outsides = [b[4] | tied for a, b in treedp._subkey_pairs(tree, key)
+                if a == left and b[:3] == (child, tree.eta(child), din - 1)]
+    assert outsides
+    for outside in outsides:
+        assert outside & left[4]
+        assert make_dp_key(v, i - 1, din, din, left[4], outside) == left
 
 
 @pytest.mark.parametrize("g", [g for g in ENUMERATION_TREES if g.n <= 10])
@@ -975,6 +1055,9 @@ def test_every_finite_key_below_v_has_a_step(g):
     # finite value whose chosen vertices lie below v needs an entry, after a
     # solve and after run keys are asked for through dp_entry
     cert, tree, table = solve_tree_mcs_detailed(g)
+    # every key the fill stored is canonical, landing and right keys on a
+    # tie included
+    assert all(make_dp_key(*key) == key for key in table.memo)
     runs = list(_run_keys(tree)) if g.n <= 14 else []
     for key in runs:
         dp_entry(tree, key, table)
