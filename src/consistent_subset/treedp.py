@@ -448,11 +448,11 @@ class DPTable:
     An empty inside (worth 0), a key of ``T_0`` (worth 1) and a first-child
     prefix's key with finite ``din >= 1`` (worth its landing's value) are
     in the memo only where :func:`dp_entry` was asked for them, the root
-    keys included.  ``step``
-    maps every stored key with a finite value, a finite ``din`` and
-    ``i >= 1`` to the keys holding its chosen vertices, which witness
-    reconstruction follows: a split key's first argmin, the ``(left,
-    right)`` subkey pair, or a first-child key's one-key ``(landing,)``.
+    keys included.  ``step`` maps every stored key with a finite value, a
+    finite ``din`` and ``i >= 1`` to the keys holding its chosen vertices,
+    which witness reconstruction follows: a split key's first argmin, the
+    ``(left, right)`` subkey pair, or a first-child key's one-key
+    ``(landing,)``.
     ``stretch`` maps a vertex of a run's path to the ``(value, key)`` of
     :func:`_stretch_min`.
     """
@@ -781,11 +781,12 @@ def _run_landing(tree: RootedTree, key: tuple):
             return None
     din -= j
     dext += j
+    eta = len(tree.children[w])
     if dext < din:
-        return (w, len(tree.children[w]), din, dext, cin, cext)
+        return (w, eta, din, dext, cin, cext)
     if dext == din:
-        return _tie_key(w, len(tree.children[w]), din, cin, cext)
-    return (w, len(tree.children[w]), din, INF, cin, 0)
+        return _tie_key(w, eta, din, cin, cext)
+    return (w, eta, din, INF, cin, 0)
 
 
 def _value(tree: RootedTree, key: tuple, table: DPTable):
@@ -814,7 +815,8 @@ def dp_entry(tree: RootedTree, key: tuple, table: DPTable):
     here.  A key of a first-child prefix with finite ``din >= 1`` (see
     "First-child prefixes") is landed with :func:`_run_landing` and stored
     with the landing key's value, and a finite one records ``(landing,)``
-    in ``step``; any other key is resolved by :func:`_value`.  So no such key reaches :func:`_compute`.
+    in ``step``; any other key is resolved by :func:`_value`.  So no such
+    key reaches :func:`_compute`.
     """
     memo = table.memo
     val = memo.get(key)
