@@ -49,11 +49,14 @@ Recursion.  A key is resolved by case analysis:
    part and the old outside, one hop farther.  Both subkeys are
    canonicalized again; an old outside beyond ``din`` changes neither,
    because for each subkey the side attaining ``din`` is its inside or a
-   nearer part of its outside.  A chosen ``v`` is the split whose left
-   part is chosen: the left key keeps ``din == 0`` and the child sees
-   ``color(v)`` at distance 1, nearer than anything beyond ``v``.  A key
-   of a first-child prefix ``T_1(v)`` with finite ``din >= 1`` has one
-   split; see "First-child prefixes".
+   nearer part of its outside.  A chosen ``v`` has one split, whose left
+   part is chosen: its key is always ``(v, i, 0, INF, bit(v), 0)`` (every
+   outside lies at least one hop away, beyond ``din``, and ``v`` is the
+   level at distance 0), so it goes straight to that split, which keeps
+   the left key ``(v, i - 1, 0, INF, bit(v), 0)`` and scans the child's
+   keys from distance 0 under ``color(v)`` at distance 1, nearer than
+   anything beyond ``v``.  A key of a first-child prefix ``T_1(v)`` with
+   finite ``din >= 1`` has one split; see "First-child prefixes".
 
 Color sets are int bitmasks (bit ``k`` = color ``k+1``).  All minima are
 taken in a fixed documented order (splits: shared distance first, then
@@ -212,12 +215,16 @@ From outside the fill, keys enter the table through ``dp_entry`` alone,
 the root keys included; it runs all of step 1 (``_admissible``), so a
 root key, already scanned, meets those tests twice.  The fill generates
 only keys that pass them, so the recursion, ``_compute``, runs none; its
-callers read steps 2 and 3, so it starts at step 4.  The near-outside
-bound, ``v``'s own test and the far-side bound live in ``_need``, run once
-per distance by ``_side_keys`` (per distance scanned by ``_run_side_keys``)
-and on the fixed sides of a split by ``_subkey_pairs``; both take masks
-within the level at ``din``, so their keys pass the exact-depth test.  A
-landing key keeps its level and needs only ``_run_landing``'s tie test.
+callers read steps 2 and 3, so it starts at step 4.  There
+``_subkey_pairs`` sends a chosen ``v``'s key straight to its one split,
+and meets every other key with the three cases of a split (both sides
+attain ``din``, the child's side alone, the left side alone).  The
+near-outside bound, ``v``'s own test and the far-side bound live in
+``_need``, run once per distance by ``_side_keys`` (per distance scanned by
+``_run_side_keys``) and on the fixed sides of a split by ``_subkey_pairs``;
+both take masks within the level at ``din``, so their keys pass the
+exact-depth test.  A landing key keeps its level and needs only
+``_run_landing``'s tie test.
 """
 
 from __future__ import annotations
@@ -246,9 +253,10 @@ class RootedTree:
     color.  The solver uses those to prune infeasible keys.  The color and
     LCA rows hold the deepest level first and are shared along first
     children (a one-child run keeps one row), so a row may be longer than
-    a prefix that reads it: every read, whether through ``depth_limit`` or
-    a hot path indexing ``_top``, ``_pref`` and ``_near`` directly, is
-    bounded by the prefix's ``_top``.
+    a prefix that reads it: every read, whether through ``depth_limit``,
+    ``avail`` and ``far`` or in a hot path that indexes ``_pref``, ``_lca``
+    and ``_near`` directly (``_side_keys``, ``_subkey_pairs`` and
+    ``_need``), is bounded by the prefix's ``_top``.
 
     The run index ``run`` holds, for each vertex with exactly one child, a
     pair ``(path, pos)``: ``path`` is its maximal run of one-child vertices
@@ -515,7 +523,20 @@ def _need(tree: RootedTree, v: int, i: int, din, dext, cext: int) -> int:
     else:
         bit = tree.color_bit[v]
         k, need = 1, (0 if dext == din and cext & bit else bit)
-    return need | tree.far(v, i, din, k) if din >= 2 else need
+    if din < 2:
+        return need
+    top = tree._top[v][i]         # RootedTree.far, read inline: a hot path
+    if din > top:
+        return need
+    x = tree._lca[v][i][top - din]
+    if x == v:
+        return need
+    t = tree._depth[v] + k
+    for depth, mask in tree._up[x]:
+        if depth < t:
+            break
+        need |= mask              # the masks only grow up the steps
+    return need
 
 
 def _tie_key(v: int, i: int, d: int, cin: int, cext: int) -> tuple:
@@ -582,10 +603,14 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
     inside ``T_{i-1}(v)`` (left) and inside ``T(v_i)`` (right).  The left
     part's outside is the nearer of ``T(v_i)`` and the old outside; the
     child's is the nearer of the left part and the old outside, one hop
-    farther.  A chosen ``v`` (``din == 0``) is the split whose left part is
-    chosen: ``T(v_i)`` holds nothing at distance -1, so only the last
-    branch yields.  Where one side stays fixed, the other side's keys come
-    from the one scan :func:`_side_keys`, which runs their color tests.
+    farther.  A chosen ``v`` (``din == 0``, so the key is ``(v, i, 0, INF,
+    bit(v), 0)``) goes straight to its one split, whose left part is
+    chosen: the left key ``(v, i - 1, 0, INF, bit(v), 0)`` stays fixed and
+    the child's keys come from the left-only branch's right scan, from
+    distance 0 under ``color(v)`` at distance 1; no other branch is tested,
+    since ``T(v_i)`` holds nothing at distance -1.  Where one side stays
+    fixed, the other side's keys come from the one scan :func:`_side_keys`
+    (or :func:`_run_side_keys`), which runs their color tests.
 
     ``key`` must pass :func:`_admissible`.  Every subkey then passes the
     exact-depth test: its mask lies within ``la`` or ``ra``, the colors of
@@ -608,83 +633,96 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
     v, i, din, dext, cin, cext = key
     child = tree.children[v][i - 1]
     eta = len(tree.children[child])
-    dmin = dext if dext < din else din        # nearest chosen of all, from v
     run = tree.run[child]
-    land = run and din >= 2                   # right keys at din - 1 >= 1 land
-    lland = i == 2                            # left keys at din >= 1 land
-    la = tree.avail(v, i - 1, din) & cin
-    ra = tree.avail(child, eta, din - 1) & cin
-    # colors a left key attaining din must hold: its near-outside and own
-    # tests pass under cin | cext, as the key's do, leaving its far side
-    fa = _need(tree, v, i - 1, din, dmin, cin | cext) if la and din >= 2 else 0
-    # a fixed child key attaining din - 1 sees the outside at dmin + 1
-    # (canonicalized), the same in the first two branches
-    rx, ry = (dmin + 1, cext) if dmin <= din - 2 else (INF, 0)
-    rn = _need(tree, child, eta, din - 1, rx, ry) if ra else -1
-    rtie = rx == din - 1 and not land         # an unlanded right key on a tie
-    # both sides attain din; distribute each color of cin, all in la | ra,
-    # left/right/both
-    if la and ra and not fa & ~la:
-        tied = cext if dext == din else 0
-        options = []
-        rest = cin
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            opts = []
-            if la & bit:
-                opts.append((bit, 0))
-            if ra & bit and not fa & bit:
-                opts.append((0, bit))
-            if la & ra & bit:
-                opts.append((bit, bit))
-            options.append(opts)
-        for picks in itertools.product(*options):
-            ca = cb = 0
-            for a, b in picks:
-                ca |= a
-                cb |= b
-            if ca and cb and not rn & ~cb:
-                left = ((v, i - 1, din, dmin, ca, cext) if dmin < din
-                        else _tie_key(v, i - 1, din, ca, cb | tied))
-                if lland:
-                    left = _run_landing(tree, left)
-                    if left is None:
-                        continue
-                right = (_tie_key(child, eta, din - 1, cb, ry) if rtie
-                         else (child, eta, din - 1, rx, cb, ry))
-                yield left, _run_landing(tree, right) if land else right
-    # only the child side attains din; the left part is farther (or empty),
-    # so the child's key is fixed and the left sees the outside at `dmin`
-    if ra == cin and not rn & ~cin:
-        cx = (cin if dmin == din else 0) | (cext if dext == dmin else 0)
-        right = (_tie_key(child, eta, din - 1, cin, ry) if rtie
-                 else (child, eta, din - 1, rx, cin, ry))
-        if land:
-            right = _run_landing(tree, right)
-        if right is not None:
-            for left in _side_keys(tree, v, i - 1, din + 1, dmin, cx):
-                if lland and left[2] != INF:
-                    left = _run_landing(tree, left)
-                    if left is None:
-                        continue
-                yield left, right
-    # only the left part attains din; the child side is farther (or empty),
-    # so the left key is fixed and the child sees the outside at `dmin + 1`
-    if la == cin and not fa & ~cin:
+    if not din:
+        # a chosen v: the key is (v, i, 0, INF, bit(v), 0), and its one
+        # split keeps v chosen on the left while the child sees color(v)
+        # one hop away; the right scan is the left-only branch's below
+        left, dy, cy = (v, i - 1, 0, INF, cin, 0), 1, cin
+    else:
+        dmin = dext if dext < din else din    # nearest chosen of all, from v
+        land = run and din >= 2               # right keys at din - 1 >= 1 land
+        lland = i == 2                        # left keys at din >= 1 land
+        # RootedTree.avail, read inline: a hot path
+        top = tree._top[v][i - 1]
+        la = tree._pref[v][i - 1][top - din] & cin if din <= top else 0
+        top = tree._top[child][eta]
+        ra = tree._pref[child][eta][top - din + 1] & cin if din <= top + 1 else 0
+        # colors a left key attaining din must hold: its near-outside and own
+        # tests pass under cin | cext, as the key's do, leaving its far side
+        fa = _need(tree, v, i - 1, din, dmin, cin | cext) if la and din >= 2 else 0
+        # a fixed child key attaining din - 1 sees the outside at dmin + 1
+        # (canonicalized), the same in the first two branches
+        rx, ry = (dmin + 1, cext) if dmin <= din - 2 else (INF, 0)
+        rn = _need(tree, child, eta, din - 1, rx, ry) if ra else -1
+        rtie = rx == din - 1 and not land     # an unlanded right key on a tie
+        # both sides attain din; distribute each color of cin, all in la | ra,
+        # left/right/both
+        if la and ra and not fa & ~la:
+            tied = cext if dext == din else 0
+            options = []
+            rest = cin
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                opts = []
+                if la & bit:
+                    opts.append((bit, 0))
+                if ra & bit and not fa & bit:
+                    opts.append((0, bit))
+                if la & ra & bit:
+                    opts.append((bit, bit))
+                options.append(opts)
+            for picks in itertools.product(*options):
+                ca = cb = 0
+                for a, b in picks:
+                    ca |= a
+                    cb |= b
+                if ca and cb and not rn & ~cb:
+                    left = ((v, i - 1, din, dmin, ca, cext) if dmin < din
+                            else _tie_key(v, i - 1, din, ca, cb | tied))
+                    if lland:
+                        left = _run_landing(tree, left)
+                        if left is None:
+                            continue
+                    right = (_tie_key(child, eta, din - 1, cb, ry) if rtie
+                             else (child, eta, din - 1, rx, cb, ry))
+                    yield left, _run_landing(tree, right) if land else right
+        # only the child side attains din; the left part is farther (or
+        # empty), so the child's key is fixed and the left sees the outside
+        # at `dmin`
+        if ra == cin and not rn & ~cin:
+            cx = (cin if dmin == din else 0) | (cext if dext == dmin else 0)
+            right = (_tie_key(child, eta, din - 1, cin, ry) if rtie
+                     else (child, eta, din - 1, rx, cin, ry))
+            if land:
+                right = _run_landing(tree, right)
+            if right is not None:
+                for left in _side_keys(tree, v, i - 1, din + 1, dmin, cx):
+                    if lland and left[2] != INF:
+                        left = _run_landing(tree, left)
+                        if left is None:
+                            continue
+                    yield left, right
+        # only the left part attains din; the child side is farther (or
+        # empty), so the left key is fixed and the child sees the outside at
+        # `dmin + 1`
+        if la != cin or fa & ~cin:
+            return
         left = (v, i - 1, din, dext, cin, cext)
-        if lland and din:
+        if lland:
             left = _run_landing(tree, left)
             if left is None:
                 return
+        dy = dmin + 1
         cy = (cin if dmin == din else 0) | (cext if dext == dmin else 0)
-        if run and tree.color_bit[child] & cy:
-            for right in _run_side_keys(tree, child, din, dmin + 1, cy):
-                yield left, right
-        else:
-            for right in _side_keys(tree, child, eta, din, dmin + 1, cy):
-                yield left, (_run_landing(tree, right) if run and 0 < right[2] < INF
-                             else right)
+    if run and tree.color_bit[child] & cy:
+        for right in _run_side_keys(tree, child, din, dy, cy):
+            yield left, right
+    else:
+        for right in _side_keys(tree, child, eta, din, dy, cy):
+            yield left, (_run_landing(tree, right) if run and 0 < right[2] < INF
+                         else right)
 
 
 def _run_side_keys(tree: RootedTree, u: int, d0: int, dext: int, cext: int):
