@@ -614,12 +614,13 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
 
     ``key`` must pass :func:`_admissible`.  Every subkey then passes the
     exact-depth test: its mask lies within ``la`` or ``ra``, the colors of
-    ``cin`` at that depth on its side.  Where a left subkey keeps the key's
-    nearest distance and outside, its near-outside and own tests follow
-    from the key's and are not repeated.  Its far-side test does not, since
-    ``T_{i-1}(v)`` has its own LCA at each level and ``ca`` may be smaller
-    than ``cin``, so those left keys are checked against it here, and the
-    fixed child keys against :func:`_need`.
+    ``cin`` at that depth on its side (a chosen ``v``'s left mask is
+    ``bit(v)``, the level at distance 0).  Where a left subkey keeps the
+    key's nearest distance and outside, its near-outside and own tests
+    follow from the key's and are not repeated.  Its far-side test does
+    not, since ``T_{i-1}(v)`` has its own LCA at each level and ``ca`` may
+    be smaller than ``cin``, so those left keys are checked against it
+    here, and the fixed child keys against :func:`_need`.
 
     A subkey of a first-child prefix with finite ``din >= 1`` is yielded
     landed (see :func:`_run_landing`), so none reaches :func:`_compute`: a
@@ -635,9 +636,7 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
     eta = len(tree.children[child])
     run = tree.run[child]
     if not din:
-        # a chosen v: the key is (v, i, 0, INF, bit(v), 0), and its one
-        # split keeps v chosen on the left while the child sees color(v)
-        # one hop away; the right scan is the left-only branch's below
+        # a chosen v's one split, whose right scan is the left-only branch's
         left, dy, cy = (v, i - 1, 0, INF, cin, 0), 1, cin
     else:
         dmin = dext if dext < din else din    # nearest chosen of all, from v

@@ -12,7 +12,6 @@ EXPECTED = digest.expected(quick=True)
 @pytest.mark.parametrize("name", list(digest.FAMILIES))
 def test_quick_slice_matches_the_committed_digest(name):
     build, _count, quick = digest.FAMILIES[name]
-    assert EXPECTED[name]["trees"] == quick
     assert digest.family_digests(build, [quick]) == [EXPECTED[name]]
 
 

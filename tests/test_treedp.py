@@ -693,6 +693,43 @@ def _passes_other_tests(tree, v, i, din, dext, cin, cext):
     return bool((cin | (cext if dext == din else 0)) & tree.color_bit[v])
 
 
+def _ref_need(tree, v, i, din, dext, cext):
+    """``_need`` for a finite ``din``, read through ``RootedTree.near``,
+    ``RootedTree.far`` and ``color_bit``: -1 when the near-outside bound
+    fails, else ``v``'s own color (unless a tied outside shows it) and the
+    colors that the far-side bound asks of ``cin``."""
+    if dext < din:
+        if tree.near(v, i, (din - dext + 1) // 2) & ~cext:
+            return -1
+        k, need = (din - dext) // 2 + 1, 0
+    else:
+        bit = tree.color_bit[v]
+        k, need = 1, (0 if dext == din and cext & bit else bit)
+    return need | tree.far(v, i, din, k) if din >= 2 else need
+
+
+@pytest.mark.parametrize("g", ENUMERATION_TREES)
+def test_need_matches_the_row_readers(g):
+    # _need indexes the prefix rows directly; on every prefix, finite din,
+    # outside distance and outside mask it gives what the readers give.
+    # Under a nearer outside every color it asks comes from the far side
+    tree = root_tree(g, 1)
+    masks = range(1, 1 << g.c)
+    far_colors = 0
+    for v in range(1, g.n + 1):
+        for i in range(tree.eta(v) + 1):
+            depth = tree.depth_limit(v, i)
+            for din in range(depth + 2):
+                for dext in list(range(1, depth + 3)) + [INF]:
+                    for cext in ([0] if dext == INF else masks):
+                        want = _ref_need(tree, v, i, din, dext, cext)
+                        assert treedp._need(tree, v, i, din, dext, cext) == want, \
+                            (v, i, din, dext, cext)
+                        far_colors += dext < din and want > 0
+    # (a tree of height 1 has no far side)
+    assert far_colors > 0 or tree.depth_limit(1, tree.eta(1)) < 2
+
+
 def _lca_row(tree, v, i):
     """LCA of the vertices of ``T_i(v)`` at each distance from ``v``."""
     top = tree.depth_limit(v, i)
@@ -1064,6 +1101,14 @@ def test_every_finite_key_below_v_has_a_step(g):
     for key, val in table.memo.items():
         if val < INF and key[2] < INF and key[1] >= 1:
             assert key in table.step, key
+        # a chosen v's key has one form, and its one split keeps v chosen
+        # on the left: the key of T_{i-1}(v), which is T_0's at i == 1
+        if key[2] == 0:
+            v, i = key[:2]
+            bit = tree.color_bit[v]
+            assert key == (v, i, 0, INF, bit, 0), key
+            if val < INF and i >= 1:
+                assert table.step[key][0] == (v, i - 1, 0, INF, bit, 0), key
     for key in runs:
         if table.memo[key] < INF:
             witness = reconstruct_witness(tree, key, table)
