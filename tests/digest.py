@@ -7,12 +7,12 @@ meant to keep the DP's outputs, such as a speed-up, leaves the sizes and
 witnesses, and so every sha256, as they are; a change that is also meant
 to keep the key space leaves the key totals too.  Each family's first
 trees form its quick slice, which the tier-1 suite checks
-(``test_digest.py``); this script checks or rewrites the whole set.
+(``pytest tests/test_digest.py``); this script checks or rewrites the
+whole set.
 
 Run from the repository root::
 
     PYTHONPATH=src python tests/digest.py            # check every family
-    PYTHONPATH=src python tests/digest.py --quick    # check the quick slices
     PYTHONPATH=src python tests/digest.py --write    # rewrite digest.json
 
 Checking writes nothing and exits 1 on any difference; ``--write``
@@ -100,26 +100,16 @@ def family_digests(build, counts) -> list:
     return out
 
 
-def compute(quick: bool) -> dict:
-    """Every family's digest, or with ``quick`` its quick slice's."""
-    return {name: family_digests(build, [slice_ if quick else count])[0]
-            for name, (build, count, slice_) in FAMILIES.items()}
-
-
-def expected(quick: bool) -> dict:
-    data = json.loads(EXPECTED.read_text())
-    return {name: entry["quick"] if quick else
-            {k: val for k, val in entry.items() if k != "quick"}
-            for name, entry in data.items()}
+def expected() -> dict:
+    """The committed digests: per family the whole set's, with its quick
+    slice's under ``"quick"``."""
+    return json.loads(EXPECTED.read_text())
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    mode = ap.add_mutually_exclusive_group()
-    mode.add_argument("--quick", action="store_true",
-                      help="check only each family's quick slice")
-    mode.add_argument("--write", action="store_true",
-                      help="rewrite digest.json from the current outputs")
+    ap.add_argument("--write", action="store_true",
+                    help="rewrite digest.json from the current outputs")
     args = ap.parse_args(argv)
     t0 = time.perf_counter()
     if args.write:
@@ -131,14 +121,15 @@ def main(argv=None) -> int:
         EXPECTED.write_text(json.dumps(data, indent=2) + "\n")
         print(f"wrote {EXPECTED.name} in {time.perf_counter() - t0:.1f} s")
         return 0
-    got, want = compute(args.quick), expected(args.quick)
-    bad = 0
-    for name, entry in got.items():
-        ok = entry == want.get(name)
+    data, bad = expected(), 0
+    for name, (build, count, _slice) in FAMILIES.items():
+        [got] = family_digests(build, [count])
+        want = {k: val for k, val in data.get(name, {}).items() if k != "quick"}
+        ok = got == want
         bad += not ok
-        print(f"{'ok' if ok else 'DIFFERS'} {name}: {entry}"
-              + ("" if ok else f"\n  expected {want.get(name)}"))
-    print(f"{len(got) - bad} of {len(got)} families match "
+        print(f"{'ok' if ok else 'DIFFERS'} {name}: {got}"
+              + ("" if ok else f"\n  expected {want}"))
+    print(f"{len(FAMILIES) - bad} of {len(FAMILIES)} families match "
           f"in {time.perf_counter() - t0:.1f} s")
     return 1 if bad else 0
 

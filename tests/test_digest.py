@@ -6,13 +6,13 @@ import pytest
 
 import digest
 
-EXPECTED = digest.expected(quick=True)
+EXPECTED = digest.expected()
 
 
 @pytest.mark.parametrize("name", list(digest.FAMILIES))
 def test_quick_slice_matches_the_committed_digest(name):
     build, _count, quick = digest.FAMILIES[name]
-    assert digest.family_digests(build, [quick]) == [EXPECTED[name]]
+    assert digest.family_digests(build, [quick]) == [EXPECTED[name]["quick"]]
 
 
 def test_every_family_is_committed():
