@@ -545,6 +545,17 @@ def format_intervals(intervals) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _rational(text: str) -> Fraction:
+    """An endpoint spelled ``p`` or ``p/q``, each part an ``int()`` and
+    ``q >= 1``; any other spelling (an exponent or a decimal point among
+    them) raises ``ValueError``."""
+    num, slash, den = text.partition("/")
+    q = int(den) if slash else 1
+    if q < 1:
+        raise ValueError(f"denominator of {text!r} is below 1")
+    return Fraction(int(num), q)
+
+
 def parse_intervals(text: str) -> tuple:
     """Inverse of :func:`format_intervals`; returns a tuple of intervals."""
     out = []
@@ -554,9 +565,8 @@ def parse_intervals(text: str) -> tuple:
             raise ParseError(lineno, "expected 'i <id> <color> <lo> <hi>'")
         try:
             iid, color = int(parts[1]), int(parts[2])
-            lo = Fraction(parts[3])
-            hi = Fraction(parts[4])
-        except (ValueError, ZeroDivisionError):
+            lo, hi = _rational(parts[3]), _rational(parts[4])
+        except ValueError:
             raise ParseError(lineno, "malformed interval fields") from None
         if iid < 1 or color < 1:
             raise ParseError(lineno, "interval id and color must be positive")

@@ -61,9 +61,9 @@ Recursion.  A key is resolved by case analysis:
 Color sets are int bitmasks (bit ``k`` = color ``k+1``).  All minima are
 taken in a fixed documented order (splits: shared distance first, then
 longer left distances ascending, then longer right distances ascending;
-masks in decreasing numeric order), and the fill records each split
-key's first argmin, which reconstruction follows, so reported witnesses
-are deterministic.
+masks in decreasing numeric order).  The table holds values only: witness
+reconstruction finds each split key's first argmin again with the same
+scan (see "Witnesses"), so reported witnesses are deterministic.
 
 Pruning.  Distance ranges are cut by prefix depths and by the colors
 available at each exact depth.  Seven arguments then drop work whose
@@ -159,7 +159,7 @@ with no pruning at all:
   took n(n+1)/2 keys; on a 1,000-vertex comb, one leaf on each spine
   vertex, storing the left ones and the keys of steps 2 and 3 took 336,993
   keys against 85,496), and ``dp_entry`` stores one it is asked for with
-  its landing's value.  ``step`` records the landing key either way.
+  its landing's value; witness reconstruction follows that landing.
 * Monochrome stretches.  Where a split's left part attains ``din``, the
   child ``u``'s keys are scanned from inside distance ``din`` under the
   outside ``dext' = dmin + 1 <= din + 1`` with colors ``cy``.  If ``u`` has
@@ -212,10 +212,11 @@ with no pruning at all:
   against 422.
 
 From outside the fill, keys enter the table through ``dp_entry`` alone,
-the root keys included; it runs all of step 1 (``_admissible``), so a
-root key, already scanned, meets those tests twice.  The fill generates
-only keys that pass them, so the recursion, ``_compute``, runs none; its
-callers read steps 2 and 3, so it starts at step 4.  There
+the root keys included.  Step 1 runs where keys are generated, never on a
+key already built: the root keys come from ``_side_keys``, which runs
+it, so ``dp_entry`` asks its caller for keys that pass, as the
+recursion, ``_compute``, does.  The callers of ``_compute`` read steps 2
+and 3, so it starts at step 4.  There
 ``_subkey_pairs`` sends a chosen ``v``'s key straight to its one split,
 and meets every other key with the three cases of a split (both sides
 attain ``din``, the child's side alone, the left side alone).  The
@@ -225,6 +226,26 @@ near-outside bound, ``v``'s own test and the far-side bound live in
 both take masks within the level at ``din``, so their keys pass the
 exact-depth test.  A landing key keeps its level and needs only
 ``_run_landing``'s tie test.
+
+Witnesses.  The table stores values alone.  ``reconstruct_witness`` walks
+the chosen keys from a solved key with an explicit stack.  A first-child
+key that ``dp_entry`` stored follows its landing.  Every other key re-runs
+``_subkey_pairs`` and takes the first pair whose stored values sum to
+the key's value.  A side's stored value is 0 for an empty inside, 1 for
+a key of ``T_0``, the memo's otherwise, or ``stretch``'s for a vertex; a
+pair with a side never stored is passed over.  That pair is the fill's
+first argmin ``P``, the pair the fill's best total last dropped to.  The
+fill evaluates every left side, and a right side only where the left
+value is below the best total so far, which it replaces only by a
+strictly smaller one.  So the key's value ``val`` is the least total over
+all pairs (a pair whose right side it skipped totals at least that best).
+The first pair totalling ``val`` drops the best to ``val``: its left
+value is at most ``val``, below any best above it, so its right side is
+evaluated; no later pair drops the best further.  So that pair is ``P``,
+and every pair before it totals more than ``val``.  Stored
+values are exact, whichever key stored them, so the walk passes over
+every pair before ``P``; the fill evaluated and stored both sides of
+``P``, which sum to ``val``.  The walk computes and stores nothing.
 """
 
 from __future__ import annotations
@@ -247,16 +268,15 @@ class RootedTree:
     """A colored tree rooted for prefix dynamic programming.
 
     Children are ordered by ascending vertex id.  Precomputes, per child
-    prefix, its depth (``depth_limit``), the color masks available at each
-    exact depth, their running unions by depth, and the LCA of each such
-    level; and, per vertex, the nearest ancestor-or-self depth of each
-    color.  The solver uses those to prune infeasible keys.  The color and
-    LCA rows hold the deepest level first and are shared along first
-    children (a one-child run keeps one row), so a row may be longer than
-    a prefix that reads it: every read, whether through ``depth_limit``,
-    ``avail`` and ``far`` or in a hot path that indexes ``_pref``, ``_lca``
-    and ``_near`` directly (``_side_keys``, ``_subkey_pairs`` and
-    ``_need``), is bounded by the prefix's ``_top``.
+    prefix, its depth (``_top``), the color masks available at each exact
+    depth, their running unions by depth, and the LCA of each such level;
+    and, per vertex, the nearest ancestor-or-self depth of each color.
+    The solver uses those to prune infeasible keys.  The color and LCA
+    rows hold the deepest level first and are shared along first children
+    (a one-child run keeps one row), so a row may be longer than a prefix
+    that reads it: the solver indexes ``_pref``, ``_lca`` and ``_near``
+    directly (in ``_side_keys``, ``_run_side_keys``, ``_subkey_pairs`` and
+    ``_need``), and every read is bounded by the prefix's ``_top``.
 
     The run index ``run`` holds, for each vertex with exactly one child, a
     pair ``(path, pos)``: ``path`` is its maximal run of one-child vertices
@@ -339,7 +359,7 @@ class RootedTree:
         self._up = up
         # per child prefix T_i(v), built bottom-up: the colors at each depth
         # and the LCA of the prefix's vertices at each depth, both deepest
-        # level first (depth d at index depth_limit(v, i) - d), and the
+        # level first (depth d at index _top[v][i] - d), and the
         # running unions of the colors by depth.  The last prefix is T(v).
         # T_1(v) is T(v_1) one level up, so v appends itself to its first
         # child's rows instead of copying them; a row is thus shared along
@@ -393,39 +413,6 @@ class RootedTree:
     def eta(self, v: int) -> int:
         return len(self.children[v])
 
-    def depth_limit(self, v: int, i: int) -> int:
-        """Largest hop distance from ``v`` realized inside ``T_i(v)``."""
-        return self._top[v][i]
-
-    def avail(self, v: int, i: int, d) -> int:
-        """Colors present at exact distance ``d`` from ``v`` within ``T_i(v)``."""
-        top = self._top[v][i]
-        return self._pref[v][i][top - d] if 0 <= d <= top else 0
-
-    def near(self, v: int, i: int, r) -> int:
-        """Colors at distance below ``r`` from ``v`` within ``T_i(v)``
-        (every color of the prefix when ``r`` is ``INF``)."""
-        row = self._near[v][i]
-        if r >= len(row):
-            return row[-1]
-        return row[r] if r > 0 else 0
-
-    def far(self, v: int, i: int, d: int, k: int) -> int:
-        """Colors at distance ``k`` (``>= 1``) or more from ``v`` on the path
-        from ``v`` down to ``x``, the LCA of the vertices of ``T_i(v)`` at
-        distance ``d``; 0 when ``x`` is ``v`` or no vertex lies at ``d``."""
-        top = self._top[v][i]
-        x = self._lca[v][i][top - d] if 0 <= d <= top else v
-        if x == v:
-            return 0
-        t = self._depth[v] + k
-        out = 0
-        for depth, mask in self._up[x]:
-            if depth < t:
-                break
-            out = mask
-        return out
-
 
 def _running_union(masks, full: int) -> list:
     """``out[r]`` = union of the first ``r`` of ``masks``, cut once it
@@ -456,20 +443,16 @@ class DPTable:
     An empty inside (worth 0), a key of ``T_0`` (worth 1) and a first-child
     prefix's key with finite ``din >= 1`` (worth its landing's value) are
     in the memo only where :func:`dp_entry` was asked for them, the root
-    keys included.  ``step`` maps every stored key with a finite value, a
-    finite ``din`` and ``i >= 1`` to the keys holding its chosen vertices,
-    which witness reconstruction follows: a split key's first argmin, the
-    ``(left, right)`` subkey pair, or a first-child key's one-key
-    ``(landing,)``.
-    ``stretch`` maps a vertex of a run's path to the ``(value, key)`` of
-    :func:`_stretch_min`.
+    keys included.  ``stretch`` maps a vertex of a run's path to the
+    ``(value, key)`` of :func:`_stretch_min`.  The table holds no argmins:
+    :func:`reconstruct_witness` finds them again from these values (see
+    "Witnesses").
     """
 
-    __slots__ = ("memo", "step", "stretch")
+    __slots__ = ("memo", "stretch")
 
     def __init__(self):
         self.memo: dict = {}
-        self.step: dict = {}
         self.stretch: dict = {}
 
     @property
@@ -547,22 +530,13 @@ def _tie_key(v: int, i: int, d: int, cin: int, cext: int) -> tuple:
     return (v, i, d, d, cin, cext) if cext else (v, i, d, INF, cin, 0)
 
 
-def _admissible(tree: RootedTree, v: int, i: int, din, dext, cin: int,
-                cext: int) -> bool:
-    """Color tests that every feasible canonical key passes: :func:`_need`
-    and the exact-depth test (every color of ``cin`` occurs at depth
-    ``din``).  The fill generates only keys that pass them."""
-    return (not _need(tree, v, i, din, dext, cext) & ~cin
-            and tree.avail(v, i, din) & cin == cin)
-
-
 def _side_keys(tree: RootedTree, u: int, j: int, d0: int, dext, cext: int):
     """Yield the canonical keys of ``T_j(u)`` with inside distance ``d0`` or
     more under the outside ``dext``/``cext``, in scan order (distance
-    ascending, masks descending), leaving out those that fail
-    :func:`_admissible` (worth ``INF``, never an argmin).  A key at
-    ``d == dext`` is the tie's one form (:func:`_tie_key`), which drops the
-    outside colors in its mask.
+    ascending, masks descending), leaving out those that fail the color
+    tests (worth ``INF``, never an argmin).  A key at ``d == dext`` is the
+    tie's one form (:func:`_tie_key`), which drops the outside colors in
+    its mask.
 
     When the empty inside passes the color tests it is yielded alone (see
     "Empty side"); otherwise it fails them and is not yielded.  The masks
@@ -596,8 +570,8 @@ def _side_keys(tree: RootedTree, u: int, j: int, d0: int, dext, cext: int):
 def _subkey_pairs(tree: RootedTree, key: tuple):
     """Yield the ``(left, right)`` canonical subkeys of a key with finite
     ``din`` and ``i >= 1``, one pair per split in the documented order,
-    leaving out the pairs with a subkey that fails :func:`_admissible`
-    (worth ``INF``, never an argmin), so every subkey yielded passes it.
+    leaving out the pairs with a subkey that fails the color tests (worth
+    ``INF``, never an argmin), so every subkey yielded passes them.
 
     A split ``(da, ca, db, cb)`` gives the nearest distance and colors seen
     inside ``T_{i-1}(v)`` (left) and inside ``T(v_i)`` (right).  The left
@@ -612,7 +586,7 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
     fixed, the other side's keys come from the one scan :func:`_side_keys`
     (or :func:`_run_side_keys`), which runs their color tests.
 
-    ``key`` must pass :func:`_admissible`.  Every subkey then passes the
+    ``key`` must pass the color tests.  Every subkey then passes the
     exact-depth test: its mask lies within ``la`` or ``ra``, the colors of
     ``cin`` at that depth on its side (a chosen ``v``'s left mask is
     ``bit(v)``, the level at distance 0).  Where a left subkey keeps the
@@ -642,7 +616,7 @@ def _subkey_pairs(tree: RootedTree, key: tuple):
         dmin = dext if dext < din else din    # nearest chosen of all, from v
         land = run and din >= 2               # right keys at din - 1 >= 1 land
         lland = i == 2                        # left keys at din >= 1 land
-        # RootedTree.avail, read inline: a hot path
+        # the colors of cin at depth din on each side
         top = tree._top[v][i - 1]
         la = tree._pref[v][i - 1][top - din] & cin if din <= top else 0
         top = tree._top[child][eta]
@@ -827,7 +801,7 @@ def _run_landing(tree: RootedTree, key: tuple):
 
 
 def _value(tree: RootedTree, key: tuple, table: DPTable):
-    """Value of a key that passes :func:`_admissible` and does not land: 0
+    """Value of a key that passes the color tests and does not land: 0
     for an empty inside (step 2) and 1 for a key of ``T_0(v)`` (step 3),
     with no memo lookup and no store; any other key is read from the memo,
     or computed and stored."""
@@ -847,25 +821,21 @@ def dp_entry(tree: RootedTree, key: tuple, table: DPTable):
 
     The one way a key enters the table from outside the fill, the root scan
     included; unlike the fill, it stores every key it is given.  ``key``
-    must be canonical (see "State"), a tie in its one form included; that
-    is assumed, not checked.  Its color tests (:func:`_admissible`) run
-    here.  A key of a first-child prefix with finite ``din >= 1`` (see
-    "First-child prefixes") is landed with :func:`_run_landing` and stored
-    with the landing key's value, and a finite one records ``(landing,)``
-    in ``step``; any other key is resolved by :func:`_value`.  So no such
-    key reaches :func:`_compute`.
+    must be canonical (see "State"), a tie in its one form included, and
+    pass the color tests, as every key of :func:`_side_keys` does; that is
+    assumed, not checked, as for :func:`_compute`.  A key of a first-child
+    prefix with finite ``din >= 1`` (see "First-child prefixes") is landed
+    with :func:`_run_landing` and stored with the landing key's value; any
+    other key is resolved by :func:`_value`.  So no such key reaches
+    :func:`_compute`.
     """
     memo = table.memo
     val = memo.get(key)
     if val is None:
         i, din = key[1:3]
-        if not _admissible(tree, *key):
-            val = INF
-        elif i == 1 and 0 < din < INF:
+        if i == 1 and 0 < din < INF:
             land = _run_landing(tree, key)
             val = INF if land is None else _value(tree, land, table)
-            if val < INF:
-                table.step[key] = (land,)
         else:
             val = _value(tree, key, table)
         memo[key] = val
@@ -873,17 +843,19 @@ def dp_entry(tree: RootedTree, key: tuple, table: DPTable):
 
 
 def _compute(tree: RootedTree, key: tuple, table: DPTable):
-    """Value of a key with finite ``din`` and ``i >= 1`` that passes
-    :func:`_admissible` and does not land: ``i >= 2``, or ``din == 0`` (a
-    chosen ``v``).  It runs no color test, as every key that reaches it
-    passes them.
+    """Value of a key with finite ``din`` and ``i >= 1`` that passes the
+    color tests and does not land: ``i >= 2``, or ``din == 0`` (a chosen
+    ``v``).  It runs no color test, as every key that reaches it passes
+    them.
 
     :func:`_subkey_pairs` yields subkeys already landed (a right ``None`` is
-    worth ``INF``), so ``step`` records a landing key as the argmin's left
-    or right part.  A monochrome stretch comes as a vertex, and
-    :func:`_stretch_min` gives its first minimum's key.  A subkey with an
-    empty inside is worth 0 and one of ``T_0`` is worth 1; both are read
-    here, as in :func:`_value`, with no memo lookup, call or store.
+    worth ``INF``).  A monochrome stretch comes as a vertex, and
+    :func:`_stretch_min` gives its first minimum.  A subkey with an empty
+    inside is worth 0 and one of ``T_0`` is worth 1; both are read here, as
+    in :func:`_value`, with no memo lookup, call or store.  A right side is
+    evaluated only where its left value is below the best total so far, and
+    the best total is replaced only by a strictly smaller one (see
+    "Witnesses").
     """
     memo = table.memo
     best = INF
@@ -899,7 +871,7 @@ def _compute(tree: RootedTree, key: tuple, table: DPTable):
         if left >= best or right_key is None:
             continue
         if right_key.__class__ is int:
-            right, right_key = _stretch_min(tree, right_key, table)
+            right = _stretch_min(tree, right_key, table)[0]
         elif right_key[2] == INF:
             right = 0
         elif right_key[1]:
@@ -911,35 +883,54 @@ def _compute(tree: RootedTree, key: tuple, table: DPTable):
         total = left + right
         if total < best:
             best = total
-            table.step[key] = left_key, right_key
     return best
 
 
 def reconstruct_witness(tree: RootedTree, key: tuple, table: DPTable) -> frozenset:
     """Chosen vertices of the first argmin realizing a solved finite key.
 
-    Follows ``table.step``, which holds an entry for every stored key with
-    a finite value, a finite ``din`` and ``i >= 1``: a split's first argmin
-    or a first-child key's landing, whose chosen vertices are the key's.
+    Walks the chosen keys from ``key`` with an explicit stack, reading the
+    table and storing nothing in it.  A first-child key that
+    :func:`dp_entry` stored follows its landing; every other key re-runs
+    :func:`_subkey_pairs` and takes the first pair whose stored values sum
+    to the key's value, which is the fill's first argmin (see
+    "Witnesses").
     """
-    val = table.memo.get(key)
-    if val is None:
+    memo, stretch = table.memo, table.stretch
+    total = memo.get(key)
+    if total is None:
         raise ValueError("key has not been solved in this table")
-    if val == INF:
+    if total == INF:
         raise ValueError("key is infeasible; no witness exists")
+
+    def stored(key):
+        # the value the fill read for a subkey, None where it read none
+        return 0 if key[2] == INF else memo.get(key) if key[1] else 1
+
     acc: set = set()
-    step = table.step
-    stack = [key]
+    stack = [(key, total)]
     while stack:
-        key = stack.pop()
-        v, i, din, _dext, _cin, _cext = key
+        key, val = stack.pop()
+        v, i, din = key[:3]
         if din == INF:
             continue  # nothing chosen here
         if i == 0:
             acc.add(v)  # din == 0: v alone
+        elif i == 1 and din:
+            stack.append((_run_landing(tree, key), val))
         else:
-            stack.extend(step[key])
-    if len(acc) != val:
+            for left, right in _subkey_pairs(tree, key):
+                lval = stored(left)
+                if lval is None or right is None:
+                    continue
+                if right.__class__ is int:
+                    rval, right = stretch.get(right, (None, None))
+                else:
+                    rval = stored(right)
+                if rval is not None and lval + rval == val:
+                    stack += ((left, lval), (right, rval))
+                    break
+    if len(acc) != total:
         raise AssertionError("reconstruction does not match the table value")
     return frozenset(acc)
 
@@ -958,7 +949,7 @@ def solve_tree_mcs_detailed(g: ColoredGraph, color_cap: int = DEFAULT_COLOR_CAP)
     eta = tree.eta(r)
     # every color present must be chosen somewhere, so a root key worth
     # that many cannot be beaten by a later one
-    floor = tree.near(r, eta, INF).bit_count()
+    floor = tree._near[r][eta][-1].bit_count()
     best = INF
     best_key = None
     caller_limit = sys.getrecursionlimit()

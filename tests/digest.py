@@ -5,7 +5,9 @@ optimal size and witness, and the total memo keys that the solves stored.
 The expected values live in ``digest.json`` beside this file.  A change
 meant to keep the DP's outputs, such as a speed-up, leaves the sizes and
 witnesses, and so every sha256, as they are; a change that is also meant
-to keep the key space leaves the key totals too.  Each family's first
+to keep the key space leaves the key totals too.  Every witness is also
+checked to be a consistent subset of its tree; one that is not stops the
+run, naming the family and the tree's index.  Each family's first
 trees form its quick slice, which the tier-1 suite checks
 (``pytest tests/test_digest.py``); this script checks or rewrites the
 whole set.
@@ -29,7 +31,7 @@ import pathlib
 import sys
 import time
 
-from consistent_subset import SplitMix64, random_tree
+from consistent_subset import SplitMix64, is_consistent, random_tree
 from consistent_subset.treedp import solve_tree_mcs_detailed
 
 from helpers import broom, caterpillar, comb, path_graph, runs_path, spider
@@ -84,15 +86,20 @@ FAMILIES = {
 }
 
 
-def family_digests(build, counts) -> list:
-    """Per count in ``counts`` (ascending), the digest of the family's first
-    that many trees: tree count, sha256 over ``size:witness`` lines, and
-    memo keys."""
+def family_digests(name, counts) -> list:
+    """Per count in ``counts`` (ascending), the digest of the first that
+    many trees of the family ``name``: tree count, sha256 over
+    ``size:witness`` lines, and memo keys.  Every witness must be a
+    consistent subset of its tree."""
+    build = FAMILIES[name][0]
     sha = hashlib.sha256()
     keys = 0
     out = []
     for k in range(counts[-1]):
-        cert, _tree, table = solve_tree_mcs_detailed(build(k))
+        g = build(k)
+        cert, _tree, table = solve_tree_mcs_detailed(g)
+        if not is_consistent(g, cert.witness):
+            raise AssertionError(f"{name} tree {k}: the witness is not consistent")
         sha.update(f"{cert.size}:{','.join(map(str, cert.witness))}\n".encode())
         keys += table.size
         if k + 1 in counts:
@@ -114,16 +121,16 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     if args.write:
         data = {}
-        for name, (build, count, slice_) in FAMILIES.items():
-            quick, full = family_digests(build, [slice_, count])
+        for name, (_build, count, slice_) in FAMILIES.items():
+            quick, full = family_digests(name, [slice_, count])
             data[name] = {**full, "quick": quick}
             print(f"{name}: {full}")
         EXPECTED.write_text(json.dumps(data, indent=2) + "\n")
         print(f"wrote {EXPECTED.name} in {time.perf_counter() - t0:.1f} s")
         return 0
     data, bad = expected(), 0
-    for name, (build, count, _slice) in FAMILIES.items():
-        [got] = family_digests(build, [count])
+    for name, (_build, count, _slice) in FAMILIES.items():
+        [got] = family_digests(name, [count])
         want = {k: val for k, val in data.get(name, {}).items() if k != "quick"}
         ok = got == want
         bad += not ok

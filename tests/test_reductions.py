@@ -468,6 +468,12 @@ def test_interval_file_round_trip():
     ("x 1 1 0/1 1/1\n", "expected 'i"),
     ("i 1 1 0/1\n", "expected 'i"),
     ("i 1 1 a/1 1/1\n", "malformed interval fields"),
+    # an endpoint is p or p/q with q >= 1; an exponent spelling, which
+    # Fraction(str) would expand digit by digit, is refused before any work
+    ("i 1 1 0 1e10000000\n", "malformed interval fields"),
+    ("i 1 1 0 0.5\n", "malformed interval fields"),
+    ("i 1 1 0 1/0\n", "malformed interval fields"),
+    ("i 1 1 0 1/-2\n", "malformed interval fields"),
     ("i 0 1 0/1 1/1\n", "must be positive"),
     ("i 1 1 0/1 1/1\ni 1 1 0/1 1/1\n", "duplicate interval id"),
     ("i 1 1 2/1 1/1\n", "hi < lo"),
