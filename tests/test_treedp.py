@@ -1202,8 +1202,8 @@ def test_witness_walk_takes_the_first_argmin(g):
 def test_table_memory_per_key():
     # the table stores one value per key and a (value, key) per stretch
     # vertex.  On the 600-vertex comb the bytes a solve leaves allocated,
-    # rooted tree and table together, read 366 per memo key while the table
-    # also recorded each key's first argmin, and 179 without it (Python 3.11)
+    # rooted tree and table together, read 370 per memo key while the table
+    # also recorded each key's first argmin, and 182 without it (Python 3.11)
     g = comb(300, 2)
     gc.collect()
     tracemalloc.start()
