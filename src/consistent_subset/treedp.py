@@ -29,6 +29,20 @@ realizing ``din``/``cin`` such that every vertex of the prefix sees its
 own color among its nearest chosen vertices; infeasible keys evaluate to
 ``INF``.
 
+``INF`` is the int ``2**30 - 1``, not a float infinity.  It exceeds every
+distance (at most ``n - 1``) and every value (at most ``n``) of any tree
+that fits in memory, and it fits in one 30-bit digit: CPython 3.11-3.13
+specialises ``<``, ``<=`` and ``==`` only between ints of one digit, and
+an int meeting a float (or a wider int, such as ``sys.maxsize``) takes
+the generic compare on every step of the fill.  Unlike a float infinity,
+``INF + j`` is not ``INF``, so no sum that may hold it is tested against
+it: ``_run_landing`` canonicalizes ``dext + j`` to ``(INF, 0)`` before any
+``== INF`` test, and ``dmin + 1``, ``din - dext`` and ``_run_side_keys``'s
+``2 * e + dext`` run only on finite distances.  A total ``left + right``
+with an ``INF`` side exceeds ``INF``, so it is never below the best total
+(at most ``INF``), as with a float; the memo holds finite values and
+``INF`` itself, nothing larger.
+
 Recursion.  A key is resolved by case analysis:
 
 1. color tests -- ``v`` itself must see its color among the color sets
@@ -256,7 +270,9 @@ from collections import Counter
 
 from .graph import Certificate, ColoredGraph, PreconditionError, _is_vertex
 
-INF = float("inf")
+#: "No chosen vertex here" for a distance, and "infeasible" for a value: a
+#: one-digit int above every distance and value (see "State").
+INF = (1 << 30) - 1
 
 #: Keys carry two color masks; beyond this many colors the table would be
 #: astronomically large, so the solver refuses (Python ints would cope, the
@@ -435,8 +451,9 @@ def root_tree(g: ColoredGraph, root: int = 1) -> RootedTree:
 class DPTable:
     """Memo of prefix-solution minima.
 
-    ``memo`` maps full keys to values; ``size`` and ``sizes_by_prefix`` feed
-    the complexity-envelope checks and benchmark reporting.  The fill
+    ``memo`` maps full keys to values, ints that are finite or ``INF`` (see
+    "State"); ``size`` and ``sizes_by_prefix`` feed the complexity-envelope
+    checks and benchmark reporting.  The fill
     stores only the keys it computes: finite ``din`` and ``i >= 2``, or
     ``din == 0`` and ``i >= 1``.  Every key the fill stores is canonical
     (see "State"), so a tie of inside and outside is stored in one form.
@@ -967,7 +984,7 @@ def solve_tree_mcs_detailed(g: ColoredGraph, color_cap: int = DEFAULT_COLOR_CAP)
     if best == INF or best_key is None:
         raise AssertionError("unreachable: a tree always has a consistent subset")
     witness = reconstruct_witness(tree, best_key, table)
-    cert = Certificate("mcs", tuple(sorted(witness)), int(best), "tree-dp-optimal")
+    cert = Certificate("mcs", tuple(sorted(witness)), best, "tree-dp-optimal")
     return cert, tree, table
 
 

@@ -13,8 +13,7 @@ from collections import deque
 
 import consistent_subset
 from consistent_subset import ColoredGraph, SplitMix64
-
-INF = float("inf")
+from consistent_subset.treedp import INF
 
 
 # --------------------------------------------------------------------------

@@ -967,6 +967,29 @@ def test_reconstruction_builds_no_key_and_does_not_recurse():
     assert table.size == size and len(table.stretch) == stretches
 
 
+def test_witness_walk_work_guard(monkeypatch):
+    # split scans, not time: the walk re-runs _subkey_pairs at each split
+    # key it visits, and on the 400-vertex alternating path every vertex is
+    # chosen, so it re-scans 399 splits, each for one pair.  A cheaper walk
+    # may tighten this bound.
+    g = path_graph([RED, BLUE] * 200)
+    cert, tree, table = solve_tree_mcs_detailed(g)
+    r = tree.root
+    key = next(key for key in _side_keys(tree, r, tree.eta(r), 0, INF, 0)
+               if table.memo.get(key) == cert.size)
+    calls = 0
+    subkey_pairs = treedp._subkey_pairs
+
+    def counted_pairs(tree, key):
+        nonlocal calls
+        calls += 1
+        return subkey_pairs(tree, key)
+
+    monkeypatch.setattr(treedp, "_subkey_pairs", counted_pairs)
+    assert tuple(sorted(reconstruct_witness(tree, key, table))) == cert.witness
+    assert calls <= g.n, calls
+
+
 # --------------------------------------------------------------------------
 # one entry into the table: first-child keys land where they are requested
 
@@ -1213,3 +1236,23 @@ def test_table_memory_per_key():
     finally:
         tracemalloc.stop()
     assert held / table.size <= 250, (held, table.size)
+
+
+def test_inf_is_a_one_digit_int():
+    # CPython specialises int compares only between ints of one 30-bit digit,
+    # and an int meeting a float takes the generic path, so every distance
+    # and value the fill compares is such an int: INF, or at most n
+    assert type(INF) is int and 0 < INF < 1 << 30
+    for g in [comb(300, 2), path_graph([RED, BLUE] * 200)] + [
+            random_tree(60, 3, seed) for seed in (1, 2, 3)]:
+        cert, _tree, table = solve_tree_mcs_detailed(g)
+        assert type(cert.size) is int
+
+        def small(x):
+            return type(x) is int and (x == INF or 0 <= x <= g.n)
+
+        for key, val in table.memo.items():
+            assert small(key[2]) and small(key[3]) and small(val), (key, val)
+        for val, key in table.stretch.values():
+            assert small(val), val
+            assert key is None or (small(key[2]) and small(key[3])), key
